@@ -4,8 +4,7 @@ and empirically validating the hitting-probability bound."""
 
 __version__ = "0.1.0"
 
-from .classifier import (FitConfig, ModelParams, accuracy, fit, predict_proba,
-                         predict_proba_matrix)
+from .classifier import FitConfig, ModelParams, accuracy, fit, predict_proba_matrix
 from .data import (Dataset, StandardizationParams, load_csv, standardize_apply,
                    standardize_fit)
 from .errors import (DataFormatError, EmptyFileError, InfeasibleSpecError,
@@ -16,10 +15,8 @@ from .harness import (ExperimentConfig, ExperimentResult, LemmaValidationReport,
                       RoundRecord, SplitState, SynthPocketSpec, biased_init,
                       generate_pocket_dataset, run_experiment, run_trial,
                       validate_lemma)
-from .probs import (LemmaBoundInput, LemmaBoundReport, ProbVector,
-                    SmoothingConfig, entropy, entropy_lower_bound,
-                    entropy_ratio_bound, lemma_bound, smooth)
-from .sampling import (RngState, ScoredItem, SelectionStats, TopKReservoir,
-                       gen_key, log_key, select_top_k, uniform_sample)
+from .probs import (LemmaBoundInput, LemmaBoundReport, entropy_lower_bound,
+                    entropy_ratio_bound, lemma_bound)
+from .sampling import RngState, SelectionStats, select_top_k, uniform_sample
 from .strategies import (PoolScores, StrategyConfig, StrategyKind, score_pool,
                          select_batch)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteLossError
-from .probs import ProbVector
 
 
 @dataclass(frozen=True)
@@ -126,16 +125,6 @@ def predict_proba_matrix(params: ModelParams, features) -> np.ndarray:
     if Xa.shape[1] != params.d + 1:
         raise ValueError(f"feature dim {Xa.shape[1] - 1} != model dim {params.d}")
     return _softmax_rows(Xa @ params.weights.T)
-
-
-def predict_proba(params: ModelParams, x) -> ProbVector:
-    """Class distribution for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != params.d:
-        raise ValueError(f"expected a vector of length {params.d}, got shape {x.shape}")
-    row = predict_proba_matrix(params, x[None, :])[0]
-    # guard against float drift before the ProbVector sum check
-    return ProbVector(tuple(row / row.sum()))
 
 
 def accuracy(params: ModelParams, features, labels) -> float:

@@ -276,6 +276,7 @@ def cmd_report(args) -> int:
         print(f"error: no summary.json files under {results_dir}", file=sys.stderr)
         return EXIT_DATA
     cells: dict[tuple[str, str], str] = {}
+    sources: dict[tuple[str, str], Path] = {}
     datasets: list[str] = []
     strategies: list[str] = []
     for p in summaries:
@@ -287,6 +288,11 @@ def cmd_report(args) -> int:
         except (json.JSONDecodeError, KeyError) as exc:
             print(f"error: malformed summary {p}: {exc}", file=sys.stderr)
             return EXIT_DATA
+        if (ds, strat) in sources:
+            print(f"error: duplicate summary for dataset {ds!r}, strategy {strat!r}: "
+                  f"{sources[(ds, strat)]} and {p}", file=sys.stderr)
+            return EXIT_DATA
+        sources[(ds, strat)] = p
         cells[(ds, strat)] = f"{100 * mean:.2f} ± {100 * std:.2f}"
         if ds not in datasets:
             datasets.append(ds)

@@ -1,89 +1,17 @@
-"""Probability vectors, entropy scoring, uniform-mixture smoothing, and the
-closed-form hitting-probability bounds.
+"""Closed-form entropy floors and the hitting-probability bound.
 
-All entropies are in nats. The bound formulas keep the printed 1/ln2 factor
-so the reported quantities match the closed form verbatim.
+Entropy scoring and uniform-mixture smoothing run on arrays in
+`strategies.score_pool`. All entropies are in nats. The bound formulas keep
+the printed 1/ln2 factor so the reported quantities match the closed form
+verbatim.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from .errors import VacuousBoundError
-
-PROB_SUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ProbVector:
-    """A discrete distribution over k >= 2 classes.
-
-    Entries must be non-negative and sum to 1 within PROB_SUM_TOL.
-    """
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if len(vals) < 2:
-            raise ValueError(f"need at least 2 classes, got {len(vals)}")
-        if any(not math.isfinite(v) for v in vals):
-            raise ValueError(f"non-finite probability in {vals}")
-        if any(v < 0 for v in vals):
-            raise ValueError(f"negative probability in {vals}")
-        total = math.fsum(vals)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1 (tol {PROB_SUM_TOL})")
-
-    @property
-    def k(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """Floor parameter chi in (0, 1) for mixing with the uniform distribution."""
-
-    chi: float
-
-    def __post_init__(self):
-        if not (0.0 < self.chi < 1.0):
-            raise ValueError(f"chi must be in (0, 1), got {self.chi}")
-
-
-def _coerce(p) -> ProbVector:
-    if isinstance(p, ProbVector):
-        return p
-    return ProbVector(tuple(p))
-
-
-def entropy(p: ProbVector | Sequence[float]) -> float:
-    """Shannon entropy -sum p_i ln p_i in nats, with 0*ln(0) = 0.
-
-    Validates the input as a ProbVector; result lies in [0, ln k].
-    """
-    v = _coerce(p).as_array()
-    nz = v[v > 0.0]
-    return float(-(nz * np.log(nz)).sum())
-
-
-def smooth(r: ProbVector | Sequence[float], cfg: SmoothingConfig) -> ProbVector:
-    """Uniform-mixture smoothing v = (1-chi)*r + (chi/k)*1.
-
-    Guarantees min_i v_i >= chi/k while keeping v a valid distribution.
-    """
-    rv = _coerce(r)
-    chi = cfg.chi
-    floor = chi / rv.k
-    return ProbVector(tuple((1.0 - chi) * x + floor for x in rv.values))
 
 
 def entropy_ratio_bound(rho: float, k: int) -> float:

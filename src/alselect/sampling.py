@@ -10,30 +10,16 @@ keys onto 1.0 through float rounding.
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .errors import InsufficientItemsError
 
 _CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class ScoredItem:
-    """A stream element: opaque non-negative integer id plus positive weight."""
-
-    id: int
-    weight: float
-
-    def __post_init__(self):
-        if self.id < 0:
-            raise ValueError(f"item id must be non-negative, got {self.id}")
-        if not (self.weight > 0.0 and math.isfinite(self.weight)):
-            raise ValueError(f"weight must be positive and finite, got {self.weight}")
 
 
 class RngState:
@@ -98,64 +84,6 @@ class SelectionStats:
     peak_retained: int = 0
 
 
-def gen_key(weight: float, a: float) -> float:
-    """Exponent key a^(1/weight), computed as exp(ln(a)/weight).
-
-    Strictly increasing in both arguments; stays in (0, 1) since ln(a) < 0.
-    """
-    if not (weight > 0.0 and math.isfinite(weight)):
-        raise ValueError(f"weight must be positive and finite, got {weight}")
-    if not (0.0 < a < 1.0):
-        raise ValueError(f"a must be in the open interval (0, 1), got {a}")
-    return math.exp(math.log(a) / weight)
-
-
-def log_key(weight: float, a: float) -> float:
-    """ln of gen_key: ln(a)/weight. The selection order used internally."""
-    if not (weight > 0.0 and math.isfinite(weight)):
-        raise ValueError(f"weight must be positive and finite, got {weight}")
-    if not (0.0 < a < 1.0):
-        raise ValueError(f"a must be in the open interval (0, 1), got {a}")
-    return math.log(a) / weight
-
-
-class TopKReservoir:
-    """Bounded min-heap holding the current K best (log-key, id) entries.
-
-    Ties on the key are broken toward the smaller id, which makes runs
-    bit-reproducible. Heap entries are (log_key, -id) so the root is always
-    the current worst item under that order.
-    """
-
-    def __init__(self, k: int):
-        if k < 1:
-            raise ValueError(f"K must be >= 1, got {k}")
-        self.k = k
-        self._heap: list[tuple[float, int]] = []
-
-    def offer(self, item_id: int, logkey: float) -> None:
-        entry = (logkey, -item_id)
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, entry)
-        elif entry > self._heap[0]:
-            heapq.heapreplace(self._heap, entry)
-
-    def __len__(self):
-        return len(self._heap)
-
-    def ids(self) -> set[int]:
-        return {-neg for _, neg in self._heap}
-
-
-def _iter_pairs(stream) -> Iterator[tuple[int, float]]:
-    for item in stream:
-        if isinstance(item, ScoredItem):
-            yield item.id, item.weight
-        else:
-            i, w = item
-            yield int(i), float(w)
-
-
 def select_top_k(
     stream: Iterable,
     k: int,
@@ -164,50 +92,40 @@ def select_top_k(
 ) -> set[int]:
     """K distinct ids sampled without replacement proportionally to weights.
 
-    Accepts ScoredItem objects or (id, weight) pairs; ids must be distinct
-    and weights positive. Single forward pass; retains at most K items plus
-    a fixed-size buffer of uniforms. One uniform is consumed per stream
-    element in stream order, so output is a pure function of (stream, K,
-    rng seed).
+    Takes (id, weight) pairs; ids must be distinct and weights positive.
+    Single forward pass; retains at most K items plus a fixed-size chunk
+    buffer. One uniform is consumed per stream element in stream order, so
+    output is a pure function of (stream, K, rng seed). Each chunk is merged
+    into the retained set by log key descending, ties toward the smaller id.
 
     Raises InsufficientItemsError when the stream holds fewer than K items.
     """
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
-    reservoir = TopKReservoir(k)
+    items = iter(stream)
     n_seen = 0
-    ids_buf: list[int] = []
-    w_buf: list[float] = []
-
-    def flush():
-        nonlocal n_seen
-        if not ids_buf:
-            return
-        w = np.asarray(w_buf, dtype=np.float64)
-        if not ((w > 0.0).all() and np.isfinite(w).all()):
-            bad = w_buf[int(np.argmin((w > 0.0) & np.isfinite(w)))]
-            raise ValueError(f"weights must be positive and finite, got {bad}")
-        a = rng.uniforms_open(len(w))
-        logkeys = np.log(a) / w
-        for i in range(len(ids_buf)):
-            reservoir.offer(ids_buf[i], logkeys[i])
-        n_seen += len(ids_buf)
+    kept_ids = kept_keys = None
+    while chunk := list(itertools.islice(items, _CHUNK)):
+        ids, weights = zip(*chunk)
+        w = np.array(weights, dtype=np.float64)
+        if not (w.min() > 0.0 and w.max() < math.inf):  # NaN fails both
+            bad = w[~((w > 0.0) & (w < math.inf))][0]
+            raise ValueError(f"weights must be positive and finite, got {float(bad)}")
+        ids = np.array(ids, dtype=np.int64)
+        keys = np.log(rng.uniforms_open(len(w))) / w
+        if kept_ids is not None:
+            ids = np.concatenate((kept_ids, ids))
+            keys = np.concatenate((kept_keys, keys))
+        best = np.lexsort((ids, -keys))[:k]
+        kept_ids, kept_keys = ids[best], keys[best]
+        n_seen += len(w)
         if stats is not None:
             stats.items_seen = n_seen
-            stats.peak_retained = max(stats.peak_retained, len(reservoir))
-        ids_buf.clear()
-        w_buf.clear()
-
-    for item_id, weight in _iter_pairs(stream):
-        ids_buf.append(item_id)
-        w_buf.append(weight)
-        if len(ids_buf) >= _CHUNK:
-            flush()
-    flush()
+            stats.peak_retained = max(stats.peak_retained, len(kept_ids))
 
     if n_seen < k:
         raise InsufficientItemsError(n_seen, k)
-    return reservoir.ids()
+    return set(kept_ids.tolist())
 
 
 def uniform_sample(ids: Iterable[int], k: int, rng: RngState) -> set[int]:

@@ -79,7 +79,7 @@ def score_pool(model: ModelParams, pool_features, cfg: StrategyConfig,
                ids=None) -> PoolScores:
     """Smoothed predictive entropy for every pool item, one pass.
 
-    For each row: r = predict_proba, v = (1-chi)r + chi/k, u = H(v).
+    For each row: r = softmax(Wx), v = (1-chi)r + chi/k, u = H(v).
     `ids` defaults to the row positions 0..n-1.
     """
     P = predict_proba_matrix(model, pool_features)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from alselect.classifier import (FitConfig, ModelParams, _augment, accuracy,
-                                 fit, loss_and_grad, predict_proba,
-                                 predict_proba_matrix)
+                                 fit, loss_and_grad, predict_proba_matrix)
 from alselect.errors import NonFiniteLossError
 
 
@@ -93,8 +92,8 @@ class TestFit:
         X = np.array([[-1.0], [1.0], [-2.0], [2.0]])
         y = np.array([0, 1, 0, 1])
         params = fit(X, y, 3, FitConfig())
-        p = predict_proba(params, np.array([0.5]))
-        assert p.k == 3
+        p = predict_proba_matrix(params, np.array([[0.5]]))[0]
+        assert p.shape == (3,)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -108,29 +107,29 @@ class TestFit:
 class TestPredictProba:
     def test_zero_weights_uniform(self):
         params = ModelParams(weights=np.zeros((4, 3)), k=4, d=2)
-        p = predict_proba(params, np.array([3.0, -1.0]))
-        assert p.values == pytest.approx([0.25] * 4, abs=1e-15)
+        p = predict_proba_matrix(params, np.array([3.0, -1.0])[None, :])[0]
+        assert p == pytest.approx([0.25] * 4, abs=1e-15)
 
     def test_strong_weights_oracle(self):
         # softmax(10, -10) = [0.9999999979388463, 2.0611536181902033e-09]
         params = ModelParams(weights=np.array([[10.0, 0.0], [-10.0, 0.0]]), k=2, d=1)
-        p = predict_proba(params, np.array([1.0]))
-        assert p.values[0] == pytest.approx(1.0, abs=1e-8)
-        assert p.values[1] == pytest.approx(2.0611536181902033e-09, rel=1e-6)
+        p = predict_proba_matrix(params, np.array([1.0])[None, :])[0]
+        assert p[0] == pytest.approx(1.0, abs=1e-8)
+        assert p[1] == pytest.approx(2.0611536181902033e-09, rel=1e-6)
 
     def test_class_permutation_symmetry(self):
         rng = np.random.default_rng(5)
         W = rng.standard_normal((3, 4))
         x = rng.standard_normal(3)
         perm = [2, 0, 1]
-        p = predict_proba(ModelParams(weights=W, k=3, d=3), x)
-        q = predict_proba(ModelParams(weights=W[perm], k=3, d=3), x)
-        assert np.asarray(q.values) == pytest.approx(np.asarray(p.values)[perm], abs=1e-15)
+        p = predict_proba_matrix(ModelParams(weights=W, k=3, d=3), x[None, :])[0]
+        q = predict_proba_matrix(ModelParams(weights=W[perm], k=3, d=3), x[None, :])[0]
+        assert q == pytest.approx(p[perm], abs=1e-15)
 
     def test_dimension_mismatch(self):
         params = ModelParams(weights=np.zeros((2, 3)), k=2, d=2)
         with pytest.raises(ValueError):
-            predict_proba(params, np.array([1.0]))
+            predict_proba_matrix(params, np.array([1.0])[None, :])
 
     def test_valid_probvector_at_extreme_inputs(self):
         rng = np.random.default_rng(6)
@@ -138,8 +137,9 @@ class TestPredictProba:
         params = ModelParams(weights=W, k=5, d=10)
         for scale in (1.0, 1e3, 1e6):
             x = rng.uniform(-scale, scale, size=10)
-            p = predict_proba(params, x)  # ProbVector validation inside
-            assert abs(sum(p.values) - 1.0) <= 1e-9
+            p = predict_proba_matrix(params, x[None, :])[0]
+            assert np.isfinite(p).all() and (p >= 0).all()
+            assert abs(p.sum() - 1.0) <= 1e-9
 
 
 class TestAccuracy:

@@ -209,6 +209,16 @@ class TestReport:
         rc, _, err = run_cli(capsys, "report", str(tmp_path / "nothing"))
         assert rc == EXIT_DATA
 
+    def test_duplicate_cell_rejected(self, capsys, tmp_path):
+        root = tmp_path / "res"
+        self._write_summary(root / "a", "d1", "random", 0.9, 0.0)
+        self._write_summary(root / "b", "d1", "random", 0.8, 0.0)
+        rc, out, err = run_cli(capsys, "report", str(root))
+        assert rc == EXIT_DATA
+        assert out == ""
+        assert str(root / "a" / "d1-random" / "summary.json") in err
+        assert str(root / "b" / "d1-random" / "summary.json") in err
+
 
 class TestArgparse:
     def test_bad_subcommand_exit_2(self, capsys):

@@ -1,4 +1,5 @@
-"""Entropy, smoothing, and closed-form bound tests.
+"""Entropy, smoothing, and closed-form bound tests. Entropy and smoothing
+are checked on the array path that computes them, score_pool.
 
 Frozen expected values were computed by direct independent evaluation
 (plain-Python summation of -sum p ln p and the printed bound formulas);
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alselect.classifier import ModelParams
 from alselect.errors import VacuousBoundError
-from alselect.probs import (LemmaBoundInput, ProbVector, SmoothingConfig,
-                            entropy, entropy_lower_bound, entropy_ratio_bound,
-                            lemma_bound, smooth)
+from alselect.probs import (LemmaBoundInput, entropy_lower_bound,
+                            entropy_ratio_bound, lemma_bound)
+from alselect.strategies import StrategyConfig, StrategyKind, score_pool
 
 LN2 = math.log(2.0)
 
@@ -25,102 +27,100 @@ def oracle_entropy(p):
     return -sum(x * math.log(x) for x in p if x > 0)
 
 
-class TestProbVector:
-    def test_valid(self):
-        pv = ProbVector((0.25, 0.75))
-        assert pv.k == 2
+def pool_scores(rows, chi):
+    """score_pool on given class distributions. With one-hot features and
+    weights ln r, the model's softmax reproduces each row r; zero entries
+    get a logit of -1000, whose exp underflows to exactly 0."""
+    R = np.asarray(rows, dtype=float)
+    n, k = R.shape
+    with np.errstate(divide="ignore"):
+        logits = np.maximum(np.log(R), -1e3)
+    model = ModelParams(weights=np.hstack([logits.T, np.zeros((k, 1))]), k=k, d=n)
+    cfg = StrategyConfig(kind=StrategyKind.WEIGHTED, chi=chi)
+    return score_pool(model, np.eye(n), cfg).scores
 
-    def test_rejects_short(self):
-        with pytest.raises(ValueError):
-            ProbVector((1.0,))
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ProbVector((1.2, -0.2))
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            ProbVector((0.5, 0.4))
-
-    def test_sum_tolerance(self):
-        ProbVector((0.5, 0.5 + 5e-10))  # inside the 1e-9 budget
+def oracle_smooth(r, chi):
+    return [(1 - chi) * x + chi / len(r) for x in r]
 
 
 class TestEntropy:
+    """Entropy as score_pool computes it, at a negligible smoothing floor."""
+
+    TINY = 1e-12
+
     def test_uniform_two(self):
-        assert entropy([0.5, 0.5]) == pytest.approx(LN2, abs=1e-15)
+        assert pool_scores([[0.5, 0.5]], self.TINY)[0] == pytest.approx(LN2, abs=1e-15)
 
     def test_degenerate(self):
-        assert entropy([1.0, 0.0]) == 0.0
+        # a one-hot prediction scores exactly the entropy of the floor row
+        for chi in (self.TINY, 0.1, 0.5):
+            u = pool_scores([[1.0, 0.0, 0.0]], chi)[0]
+            assert u == pytest.approx(oracle_entropy(oracle_smooth([1, 0, 0], chi)), abs=1e-15)
+        assert pool_scores([[1.0, 0.0]], self.TINY)[0] < 1e-10
 
     def test_three_class_oracle(self):
         # oracle_entropy([0.7, 0.2, 0.1]) == 0.8018185525433372
-        assert entropy([0.7, 0.2, 0.1]) == pytest.approx(0.8018185525433372, abs=1e-12)
-        assert entropy([0.7, 0.2, 0.1]) == pytest.approx(oracle_entropy([0.7, 0.2, 0.1]), abs=1e-15)
-
-    def test_rejects_invalid(self):
-        with pytest.raises(ValueError):
-            entropy([0.5, 0.6])
-        with pytest.raises(ValueError):
-            entropy([-0.1, 1.1])
+        u = pool_scores([[0.7, 0.2, 0.1]], self.TINY)[0]
+        assert u == pytest.approx(0.8018185525433372, abs=1e-10)
+        assert u == pytest.approx(oracle_entropy(oracle_smooth([0.7, 0.2, 0.1], self.TINY)),
+                                  abs=1e-15)
 
     def test_permutation_invariant_exact(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            v = rng.dirichlet(np.ones(5))
-            v = v / v.sum()
-            shuffled = v[rng.permutation(5)]
-            # fsum-free equality: same multiset of terms, summed by np in
-            # different order, still equal within one ulp-ish; the spec wants
-            # exact, which holds because we sum with np over the same values
-            assert entropy(v.tolist()) == pytest.approx(entropy(shuffled.tolist()), abs=5e-16)
+        rows = rng.dirichlet(np.ones(5), size=50)
+        shuffled = np.array([r[rng.permutation(5)] for r in rows])
+        assert pool_scores(rows, 0.05) == pytest.approx(pool_scores(shuffled, 0.05), abs=5e-16)
 
     @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_range(self, k, seed):
         rng = np.random.default_rng(seed)
-        v = rng.dirichlet(np.ones(k))
-        v = v / v.sum()
-        h = entropy(v.tolist())
-        assert -1e-12 <= h <= math.log(k) + 1e-12
+        h = pool_scores(rng.dirichlet(np.ones(k), size=5), self.TINY)
+        assert (h >= -1e-12).all() and (h <= math.log(k) + 1e-12).all()
 
     def test_max_iff_uniform(self):
         k = 6
-        assert entropy([1 / k] * k) == pytest.approx(math.log(k), abs=1e-12)
         v = [1 / k] * k
         v[0] += 0.01
         v[1] -= 0.01
-        assert entropy(v) < math.log(k) - 1e-6
+        u = pool_scores([[1 / k] * k, v], self.TINY)
+        assert u[0] == pytest.approx(math.log(k), abs=1e-12)
+        assert u[1] < math.log(k) - 1e-6
 
 
 class TestSmooth:
+    """Uniform-mixture smoothing v = (1-chi)r + chi/k inside score_pool."""
+
     def test_example(self):
-        v = smooth([1.0, 0.0], SmoothingConfig(0.1))
-        assert v.values == pytest.approx([0.95, 0.05], abs=1e-12)
+        # [1, 0] smooths to [0.95, 0.05] at chi = 0.1
+        assert pool_scores([[1.0, 0.0]], 0.1)[0] == pytest.approx(
+            oracle_entropy([0.95, 0.05]), abs=1e-15)
 
     def test_uniform_fixed_point(self):
         for chi in (0.05, 0.3, 0.9):
-            v = smooth([0.5, 0.5], SmoothingConfig(chi))
-            assert v.values == pytest.approx([0.5, 0.5], abs=1e-12)
+            assert pool_scores([[0.5, 0.5]], chi)[0] == pytest.approx(LN2, abs=1e-15)
 
     def test_identity_at_chi_to_zero(self):
-        v = smooth([0.8, 0.2], SmoothingConfig(1e-12))
-        assert v.values == pytest.approx([0.8, 0.2], abs=1e-10)
+        u = pool_scores([[0.8, 0.2]], 1e-12)[0]
+        assert u == pytest.approx(oracle_entropy([0.8, 0.2]), abs=1e-10)
 
     def test_chi_validation(self):
         for chi in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                SmoothingConfig(chi)
+                StrategyConfig(kind=StrategyKind.WEIGHTED, chi=chi)
 
     @given(st.integers(2, 10), st.floats(0.01, 0.99), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_floor_property(self, k, chi, seed):
+        # every smoothed probability is >= chi/k, so every score clears the
+        # entropy floor for that minimum, and matches the scalar oracle
         rng = np.random.default_rng(seed)
-        r = rng.dirichlet(np.ones(k))
-        r = r / r.sum()
-        v = smooth(r.tolist(), SmoothingConfig(chi))
-        assert min(v.values) >= chi / k - 1e-12
-        assert max(v.values) <= 1 - chi + chi / k + 1e-12
+        rows = rng.dirichlet(np.ones(k), size=5)
+        u = pool_scores(rows, chi)
+        expected = [oracle_entropy(oracle_smooth(r.tolist(), chi)) for r in rows]
+        assert u == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert (u >= entropy_lower_bound(chi / k, k) - 1e-12).all()
 
 
 class TestEntropyLowerBound:
@@ -161,11 +161,8 @@ class TestEntropyLowerBound:
         for k in (2, 3, 10):
             for chi in (0.05, 0.25):
                 floor_bound = entropy_lower_bound(chi / k, k)
-                for _ in range(200):
-                    r = rng.dirichlet(np.ones(k))
-                    r = r / r.sum()
-                    u = entropy(smooth(r.tolist(), SmoothingConfig(chi)))
-                    assert u >= floor_bound - 1e-12
+                u = pool_scores(rng.dirichlet(np.ones(k), size=200), chi)
+                assert (u >= floor_bound - 1e-12).all()
 
 
 class TestLemmaBound:
