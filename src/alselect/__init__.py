@@ -9,8 +9,7 @@ from .data import (Dataset, StandardizationParams, load_csv, standardize_apply,
                    standardize_fit)
 from .errors import (DataFormatError, EmptyFileError, InfeasibleSpecError,
                      InsufficientClassInstancesError, InsufficientItemsError,
-                     MissingColumnError, NonFiniteLossError, NonNumericCellError,
-                     VacuousBoundError)
+                     MissingColumnError, NonNumericCellError, VacuousBoundError)
 from .harness import (ExperimentConfig, ExperimentResult, LemmaValidationReport,
                       RoundRecord, SplitState, SynthPocketSpec, biased_init,
                       generate_pocket_dataset, run_experiment, run_trial,

@@ -1,4 +1,4 @@
-"""Multinomial logistic regression trained by full-batch gradient descent.
+"""Multinomial logistic regression trained by damped Newton (IRLS).
 
 Deterministic by construction: zero initialization, fixed iteration order,
 no randomness anywhere. The bias is a constant-one feature column and is
@@ -12,21 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteLossError
-
 
 @dataclass(frozen=True)
 class FitConfig:
     l2_reg: float = 1e-4
-    learning_rate: float = 0.5
     max_iters: int = 500
     tol: float = 1e-6
 
     def __post_init__(self):
         if self.l2_reg < 0:
             raise ValueError(f"l2_reg must be >= 0, got {self.l2_reg}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tol <= 0:
@@ -72,7 +67,6 @@ def loss_and_grad(W, Xa, labels, k, l2_reg):
     """
     n = Xa.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        # divergence shows up as inf/nan loss, reported via NonFiniteLossError
         P = _softmax_rows(Xa @ W.T)
         logp = np.log(np.clip(P[np.arange(n), labels], 1e-300, None))
         loss = -logp.mean() + 0.5 * l2_reg * float((W[:, :-1] ** 2).sum())
@@ -83,16 +77,29 @@ def loss_and_grad(W, Xa, labels, k, l2_reg):
     return loss, G
 
 
+def _hessian(W, Xa, l2_reg):
+    """Hessian of `loss_and_grad`'s loss over W.ravel(), shape (k*(d+1))^2."""
+    n, p = Xa.shape
+    P = _softmax_rows(Xa @ W.T)
+    A = (P[:, :, None] * Xa[:, None, :]).reshape(n, -1)
+    H = -A.T @ A / n
+    for c in range(W.shape[0]):
+        H[c * p:(c + 1) * p, c * p:(c + 1) * p] += (P[:, c:c + 1] * Xa).T @ Xa / n
+    H[np.diag_indices_from(H)] += l2_reg * np.tile(np.r_[np.ones(p - 1), 0.0], W.shape[0])
+    return H
+
+
 def fit(features, labels, n_classes: int, cfg: FitConfig = FitConfig(),
         loss_history: list | None = None) -> ModelParams:
     """Train from zero weights; stop at max_iters or gradient inf-norm < tol.
 
-    `n_classes` is declared by the dataset: classes absent from `labels`
-    simply receive no gradient pull. Pass a list as `loss_history` to
-    collect the per-iteration loss.
-
-    Raises NonFiniteLossError if the loss leaves the reals (bad learning
-    rate for the feature scale).
+    Each iteration takes the min-norm Newton step (the Hessian is singular
+    along a shift shared by all classes) and halves it until the Armijo
+    condition holds, or stops if 51 halvings cannot lower the loss. The
+    Hessian is (k*(d+1))^2, so the solver targets small k*d like the
+    workloads here. `n_classes` is declared by the dataset: classes absent
+    from `labels` simply receive no gradient pull. Pass a list as
+    `loss_history` to collect the per-iteration loss.
     """
     Xa = _augment(features)
     y = np.asarray(labels, dtype=np.int64)
@@ -109,13 +116,20 @@ def fit(features, labels, n_classes: int, cfg: FitConfig = FitConfig(),
     W = np.zeros((n_classes, Xa.shape[1]))
     for _ in range(cfg.max_iters):
         loss, G = loss_and_grad(W, Xa, y, n_classes, cfg.l2_reg)
-        if not np.isfinite(loss):
-            raise NonFiniteLossError(f"loss became {loss}; lower the learning rate")
         if loss_history is not None:
             loss_history.append(loss)
         if np.abs(G).max() < cfg.tol:
             break
-        W -= cfg.learning_rate * G
+        H = _hessian(W, Xa, cfg.l2_reg)
+        step = -np.linalg.lstsq(H, G.ravel(), rcond=None)[0].reshape(W.shape)
+        slope = float((G * step).sum())
+        for t in 0.5 ** np.arange(51):
+            # `<=` is False for an overflowed (nan) loss, so that step is halved too
+            if loss_and_grad(W + t * step, Xa, y, n_classes, cfg.l2_reg)[0] <= loss + 1e-4 * t * slope:
+                W = W + t * step
+                break
+        else:
+            break
     return ModelParams(weights=W, k=n_classes, d=Xa.shape[1] - 1)
 
 

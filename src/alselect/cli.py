@@ -50,7 +50,6 @@ _RUN_KEYS = {
     "trials": int,
     "holdout_fraction": float,
     "l2_reg": float,
-    "learning_rate": float,
     "max_iters": int,
     "tol": float,
     "master_seed": int,
@@ -107,7 +106,6 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
         )
         fit_cfg = FitConfig(
             l2_reg=values.get("l2_reg", 1e-4),
-            learning_rate=values.get("learning_rate", 0.5),
             max_iters=values.get("max_iters", 500),
             tol=values.get("tol", 1e-6),
         )

@@ -61,9 +61,9 @@ class Dataset:
 def load_csv(path, label_column: str, manifest_path=None) -> Dataset:
     """Load a dataset; row order is preserved exactly as on disk.
 
-    Labels become integers 0..k-1 in order of first appearance; the
-    string->integer mapping is written to `manifest_path` (default:
-    `<path>.labels.json`). Feature cells must parse as finite floats.
+    Labels become integers 0..k-1 in order of first appearance; when
+    `manifest_path` is given, the string->integer mapping is written there
+    as JSON. Feature cells must parse as finite floats.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -107,11 +107,10 @@ def load_csv(path, label_column: str, manifest_path=None) -> Dataset:
             mapping[s] = len(mapping)
     labels = np.array([mapping[s] for s in raw_labels], dtype=np.int64)
 
-    if manifest_path is None:
-        manifest_path = str(path) + ".labels.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(mapping, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    if manifest_path is not None:
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            json.dump(mapping, fh, indent=2, sort_keys=False)
+            fh.write("\n")
 
     label_names = tuple(sorted(mapping, key=mapping.get))
     return Dataset(

@@ -27,10 +27,6 @@ class InsufficientItemsError(ValueError):
         super().__init__(f"requested {requested} items but only {available} available")
 
 
-class NonFiniteLossError(RuntimeError):
-    """Training loss became NaN or infinite, usually a bad learning rate."""
-
-
 class InsufficientClassInstancesError(ValueError):
     """A class has fewer instances than its initial-labeling quota."""
 

@@ -98,7 +98,7 @@ def select_top_k(
     output is a pure function of (stream, K, rng seed). Each chunk is merged
     into the retained set by log key descending, ties toward the smaller id.
 
-    Raises InsufficientItemsError when the stream holds fewer than K items.
+    Raises InsufficientItemsError (fewer than K items) or ValueError (ids repeat).
     """
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
@@ -125,14 +125,16 @@ def select_top_k(
 
     if n_seen < k:
         raise InsufficientItemsError(n_seen, k)
-    return set(kept_ids.tolist())
+    if len(chosen := set(kept_ids.tolist())) < k:
+        raise ValueError("ids must be distinct")
+    return chosen
 
 
 def uniform_sample(ids: Iterable[int], k: int, rng: RngState) -> set[int]:
     """K ids drawn uniformly without replacement, single pass (reservoir).
 
     Every K-subset of the stream is equally likely. Raises
-    InsufficientItemsError when fewer than K ids are supplied.
+    InsufficientItemsError (fewer than K ids) or ValueError (ids repeat).
     """
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
@@ -148,4 +150,6 @@ def uniform_sample(ids: Iterable[int], k: int, rng: RngState) -> set[int]:
         n += 1
     if n < k:
         raise InsufficientItemsError(n, k)
-    return set(reservoir)
+    if len(chosen := set(reservoir)) < k:
+        raise ValueError("ids must be distinct")
+    return chosen

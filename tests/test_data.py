@@ -34,9 +34,11 @@ class TestLoadCsv:
 
     def test_sidecar_manifest(self, tmp_path):
         p = write(tmp_path, "x,y\n1,cat\n2,dog\n")
-        load_csv(p, "y")
-        manifest = json.loads((tmp_path / "data.csv.labels.json").read_text())
+        load_csv(p, "y", manifest_path=tmp_path / "labels.json")
+        manifest = json.loads((tmp_path / "labels.json").read_text())
         assert manifest == {"cat": 0, "dog": 1}
+        load_csv(p, "y")
+        assert not (tmp_path / "data.csv.labels.json").exists()
 
     def test_missing_column(self, tmp_path):
         p = write(tmp_path, "f1,f2\n1,2\n")

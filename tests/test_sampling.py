@@ -54,6 +54,10 @@ class TestSelectTopK:
         with pytest.raises(InsufficientItemsError):
             select_top_k([(0, 1.0)], 2, RngState(0))
 
+    def test_repeated_ids(self):
+        with pytest.raises(ValueError, match="ids must be distinct"):
+            select_top_k([(0, 1.0), (0, 2.0), (1, 1.0)], 3, RngState(0))
+
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
             select_top_k([(0, 1.0), (1, 0.0)], 1, RngState(0))
@@ -192,6 +196,10 @@ class TestUniformSample:
     def test_insufficient(self):
         with pytest.raises(InsufficientItemsError):
             uniform_sample([1, 2], 3, RngState(0))
+
+    def test_repeated_ids(self):
+        with pytest.raises(ValueError, match="ids must be distinct"):
+            uniform_sample([0, 0, 1], 3, RngState(0))
 
     def test_single_frequencies(self):
         draws = 60000
