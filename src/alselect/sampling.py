@@ -62,9 +62,12 @@ class RngState:
             zero = arr == 0.0
         return arr
 
-    def integers(self, high: int) -> int:
-        """One integer uniform on [0, high)."""
-        return int(self._gen.integers(0, high))
+    def integers(self, high: int | np.ndarray) -> int | np.ndarray:
+        """Integers uniform on [0, high): an int for an int high, an int64
+        array for an array of highs. An array consumes the same stream as
+        one scalar draw per high, in order."""
+        out = self._gen.integers(0, high)
+        return out if isinstance(out, np.ndarray) else int(out)
 
     def standard_normal(self, shape) -> np.ndarray:
         return self._gen.standard_normal(shape)
@@ -133,21 +136,24 @@ def select_top_k(
 def uniform_sample(ids: Iterable[int], k: int, rng: RngState) -> set[int]:
     """K ids drawn uniformly without replacement, single pass (reservoir).
 
+    Vitter's Algorithm R: the n-th id (0-based, n >= K) replaces slot j for
+    j ~ unif[0, n] when j < K. The draws do not depend on the reservoir, so
+    each chunk takes all its j in one `integers` call and then applies the
+    hits in stream order; result and rng state match one draw per id.
     Every K-subset of the stream is equally likely. Raises
     InsufficientItemsError (fewer than K ids) or ValueError (ids repeat).
     """
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
-    reservoir: list[int] = []
-    n = 0
-    for item_id in ids:
-        if n < k:
-            reservoir.append(item_id)
-        else:
-            j = rng.integers(n + 1)
-            if j < k:
-                reservoir[j] = item_id
-        n += 1
+    items = iter(ids)
+    reservoir = list(itertools.islice(items, k))
+    n = len(reservoir)
+    while chunk := list(itertools.islice(items, _CHUNK)):
+        j = rng.integers(np.arange(n + 1, n + len(chunk) + 1))
+        hits = np.flatnonzero(j < k)
+        for pos, slot in zip(hits.tolist(), j[hits].tolist()):
+            reservoir[slot] = chunk[pos]
+        n += len(chunk)
     if n < k:
         raise InsufficientItemsError(n, k)
     if len(chosen := set(reservoir)) < k:

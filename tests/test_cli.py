@@ -1,11 +1,17 @@
 """CLI surface tests: config parsing, exit codes, output files, rendering."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from alselect.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_VACUOUS,
-                          ConfigError, main, parse_config)
+                          ConfigError, build_experiment_config, main,
+                          parse_config)
+from alselect.strategies import StrategyKind
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +177,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as exc:
             parse_config(p)
         assert "dataset_path" in str(exc.value)
+
+    def test_readme_example_parses(self, tmp_path):
+        (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        p = tmp_path / "run.cfg"
+        p.write_text(block, encoding="utf-8")
+        values = parse_config(p)
+        assert len(values) == sum(
+            1 for line in block.splitlines() if line.strip() and not line.startswith("#"))
+        cfg = build_experiment_config(values)
+        assert cfg.strategy.kind is StrategyKind.WEIGHTED
+        assert (cfg.strategy.epsilon, cfg.strategy.chi, cfg.n0, cfg.master_seed) == (0.05, 0.25, 100, 99)
 
 
 class TestReport:

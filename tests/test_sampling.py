@@ -40,6 +40,13 @@ class TestRngState:
         xs = r.uniforms_open(10000)
         assert (xs > 0).all() and (xs < 1).all()
 
+    def test_integers_array_matches_scalar(self):
+        highs = np.arange(1, 3000)
+        c = RngState(5)
+        scalars = [c.integers(int(h)) for h in highs]
+        assert all(type(j) is int for j in scalars)
+        assert RngState(5).integers(highs).tolist() == scalars
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             RngState(-1)
@@ -224,3 +231,50 @@ class TestUniformSample:
 
     def test_determinism(self):
         assert uniform_sample(range(100), 10, RngState(4)) == uniform_sample(range(100), 10, RngState(4))
+
+    @pytest.mark.parametrize("k", [1, 3, 50, _CHUNK + 7])
+    @pytest.mark.parametrize("extra", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    def test_matches_per_item_oracle(self, k, extra):
+        # n = K, K+1, and K + _CHUNK-1 / _CHUNK / _CHUNK+1 / 2*_CHUNK+1, so
+        # the per-chunk draw meets every chunk edge; K > _CHUNK included
+        n = k + extra
+        ids = np.random.default_rng(n).permutation(10 * n).tolist()[:n]
+        got_rng, oracle_rng = RngState(17, (n, k)), RngState(17, (n, k))
+        assert uniform_sample(ids, k, got_rng) == oracle_uniform_sample(ids, k, oracle_rng)
+        assert got_rng.integers(1 << 40) == oracle_rng.integers(1 << 40)
+
+    def test_chained_calls_match_oracle(self):
+        got_rng, oracle_rng = RngState(23), RngState(23)
+        for call in range(20):
+            n, k = 50 + 997 * call, 1 + call % 7
+            assert uniform_sample(range(n), k, got_rng) == oracle_uniform_sample(range(n), k, oracle_rng)
+        assert got_rng.integers(1 << 40) == oracle_rng.integers(1 << 40)
+
+    def test_one_shot_generator_read_once(self):
+        pulled = []
+
+        def stream():
+            for i in range(2 * _CHUNK + 5):
+                pulled.append(i)
+                yield i
+
+        got = uniform_sample(stream(), 9, RngState(8))
+        assert pulled == list(range(2 * _CHUNK + 5))
+        assert got == oracle_uniform_sample(range(2 * _CHUNK + 5), 9, RngState(8))
+
+    def test_returns_python_ints(self):
+        got = uniform_sample(np.arange(3 * _CHUNK).tolist(), 40, RngState(2))
+        assert all(type(i) is int for i in got)
+
+
+def oracle_uniform_sample(ids, k, rng):
+    """Per-item Algorithm R: one scalar integers draw per id past the first K."""
+    reservoir = []
+    for n, item_id in enumerate(ids):
+        if n < k:
+            reservoir.append(item_id)
+        else:
+            j = rng.integers(n + 1)
+            if j < k:
+                reservoir[j] = item_id
+    return set(reservoir)
