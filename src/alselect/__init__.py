@@ -11,7 +11,7 @@ from .errors import (DataFormatError, EmptyFileError, InfeasibleSpecError,
                      InsufficientClassInstancesError, InsufficientItemsError,
                      MissingColumnError, NonNumericCellError, VacuousBoundError)
 from .harness import (ExperimentConfig, ExperimentResult, LemmaValidationReport,
-                      RoundRecord, SplitState, SynthPocketSpec, biased_init,
+                      RoundRecord, SynthPocketSpec, biased_init,
                       generate_pocket_dataset, run_experiment, run_trial,
                       validate_lemma)
 from .probs import (LemmaBoundInput, LemmaBoundReport, entropy_lower_bound,

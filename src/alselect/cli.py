@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 config/flag errors, 3 data errors, 4 runtime errors,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -91,33 +92,25 @@ def parse_config(path) -> dict:
 
 
 def build_experiment_config(values: dict) -> ExperimentConfig:
+    """The run config for parsed values; a key the values leave out takes
+    the default of the config dataclass field it names."""
     name = values["strategy"]
     if name not in _STRATEGY_NAMES:
         raise ConfigError(
             f"unknown strategy {name!r} for key 'strategy'; "
             f"choose from {sorted(_STRATEGY_NAMES)}"
         )
+
+    def given(cls) -> dict:
+        # values["strategy"] is the kind's name, not a StrategyConfig
+        return {f.name: values[f.name] for f in dataclasses.fields(cls)
+                if f.name in values and f.name != "strategy"}
+
     try:
-        strategy = StrategyConfig(
-            kind=_STRATEGY_NAMES[name],
-            epsilon=values.get("epsilon", 0.05),
-            chi=values.get("chi", 0.05),
-            exponent_d=values.get("exponent_d", 1.0),
-        )
-        fit_cfg = FitConfig(
-            l2_reg=values.get("l2_reg", 1e-4),
-            max_iters=values.get("max_iters", 500),
-            tol=values.get("tol", 1e-6),
-        )
         return ExperimentConfig(
-            strategy=strategy,
-            fit=fit_cfg,
-            n0=values.get("n0", 100),
-            rounds=values.get("rounds", 30),
-            batch=values.get("batch", 30),
-            trials=values.get("trials", 5),
-            holdout_fraction=values.get("holdout_fraction", 0.25),
-            master_seed=values.get("master_seed", 0),
+            strategy=StrategyConfig(kind=_STRATEGY_NAMES[name], **given(StrategyConfig)),
+            fit=FitConfig(**given(FitConfig)),
+            **given(ExperimentConfig),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -144,8 +137,12 @@ def _record_line(rec) -> str:
 
 
 def write_run_outputs(out_dir: Path, values: dict, cfg: ExperimentConfig,
-                      result: ExperimentResult, dataset_checksum: str) -> None:
+                      result: ExperimentResult, dataset_checksum: str,
+                      label_names: tuple[str, ...]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "labels.json", "w", encoding="utf-8") as fh:
+        json.dump({name: i for i, name in enumerate(label_names)}, fh, indent=2)
+        fh.write("\n")
     with open(out_dir / "records.jsonl", "w", encoding="utf-8") as fh:
         for rec in result.records:
             fh.write(_record_line(rec) + "\n")
@@ -185,17 +182,15 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        out_dir = Path(values["out_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        dataset = load_csv(values["dataset_path"], values["label_column"],
-                           manifest_path=out_dir / "labels.json")
+        dataset = load_csv(values["dataset_path"], values["label_column"])
         checksum = _sha256(values["dataset_path"])
     except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     try:
         result = run_experiment(dataset, cfg)
-        write_run_outputs(out_dir, values, cfg, result, checksum)
+        write_run_outputs(Path(values["out_dir"]), values, cfg, result, checksum,
+                          dataset.label_names)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

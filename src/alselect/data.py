@@ -2,14 +2,12 @@
 
 CSV dialect is deliberately rigid for bit-deterministic parsing: comma
 separated, UTF-8, '.' decimal, mandatory header. Labels may be arbitrary
-strings; they are mapped to dense integers by first appearance and the
-mapping is written to a JSON sidecar manifest.
+strings; they are mapped to dense integers by first appearance.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,12 +56,11 @@ class Dataset:
         return self.features.shape[1]
 
 
-def load_csv(path, label_column: str, manifest_path=None) -> Dataset:
+def load_csv(path, label_column: str) -> Dataset:
     """Load a dataset; row order is preserved exactly as on disk.
 
-    Labels become integers 0..k-1 in order of first appearance; when
-    `manifest_path` is given, the string->integer mapping is written there
-    as JSON. Feature cells must parse as finite floats.
+    Labels become integers 0..k-1 in order of first appearance, so label i
+    is `label_names[i]`. Feature cells must parse as finite floats.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -106,11 +103,6 @@ def load_csv(path, label_column: str, manifest_path=None) -> Dataset:
         if s not in mapping:
             mapping[s] = len(mapping)
     labels = np.array([mapping[s] for s in raw_labels], dtype=np.int64)
-
-    if manifest_path is not None:
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(mapping, fh, indent=2, sort_keys=False)
-            fh.write("\n")
 
     label_names = tuple(sorted(mapping, key=mapping.get))
     return Dataset(

@@ -32,6 +32,11 @@ _SELECT = 2
 _LEMMA = 3
 _SYNTH = 4
 
+# run_trial's row states: every dataset row is in exactly one part of the split
+_ROW_POOL = 0
+_ROW_LABELED = 1
+_ROW_HOLDOUT = 2
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -45,8 +50,8 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.n0 < 0:
-            raise ValueError(f"n0 must be >= 0, got {self.n0}")
+        if self.n0 < 1:
+            raise ValueError(f"n0 must be >= 1, got {self.n0}")
         if self.rounds < 0:
             raise ValueError(f"rounds must be >= 0, got {self.rounds}")
         if self.batch < 1:
@@ -57,23 +62,6 @@ class ExperimentConfig:
             raise ValueError(f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-
-
-@dataclass
-class SplitState:
-    """Disjoint partition of dataset ids; labeled only ever grows."""
-
-    labeled_ids: set[int]
-    pool_ids: set[int]
-    holdout_ids: set[int]
-    n_total: int
-
-    def check(self) -> None:
-        if self.labeled_ids & self.pool_ids or self.labeled_ids & self.holdout_ids \
-                or self.pool_ids & self.holdout_ids:
-            raise RuntimeError("labeled/pool/holdout sets overlap")
-        if len(self.labeled_ids) + len(self.pool_ids) + len(self.holdout_ids) != self.n_total:
-            raise RuntimeError("labeled/pool/holdout do not cover the dataset")
 
 
 @dataclass(frozen=True)
@@ -152,12 +140,17 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
     initial labeled set). Standardization is fit on the initial labeled
     rows only and frozen for the whole trial. The oracle is the dataset's
     ground truth.
+
+    The split is one state per dataset row (pool, labeled or holdout), so
+    its parts are disjoint and cover the dataset by construction; each
+    round checks that select_batch returned `batch` distinct pool ids.
     """
     n = dataset.n
     master = RngState(cfg.master_seed)
 
-    holdout = holdout_ids(n, cfg)
-    remaining = sorted(set(range(n)) - holdout)
+    state = np.full(n, _ROW_POOL, dtype=np.int8)
+    state[list(holdout_ids(n, cfg))] = _ROW_HOLDOUT
+    remaining = np.flatnonzero(state == _ROW_POOL)
 
     if cfg.n0 + cfg.rounds * cfg.batch > len(remaining):
         raise ValueError(
@@ -168,66 +161,55 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
     init_rng = master.derive(_INIT, trial_index)
     select_rng = master.derive(_SELECT, trial_index)
 
-    labels_remaining = dataset.labels[remaining]
-    labeled = biased_init(labels_remaining, cfg.n0, dataset.k, init_rng, ids=remaining)
-    split = SplitState(
-        labeled_ids=set(labeled),
-        pool_ids=set(remaining) - labeled,
-        holdout_ids=set(holdout),
-        n_total=n,
-    )
-    split.check()
+    labeled = biased_init(dataset.labels[remaining], cfg.n0, dataset.k, init_rng, ids=remaining)
+    state[list(labeled)] = _ROW_LABELED
 
-    std = standardize_fit(dataset.features[sorted(labeled)])
+    std = standardize_fit(dataset.features[state == _ROW_LABELED])
     Z = standardize_apply(std, dataset.features)
-    hold_idx = np.asarray(sorted(split.holdout_ids), dtype=np.int64)
+    hold_idx = np.flatnonzero(state == _ROW_HOLDOUT)
 
     def fit_and_score():
-        lab_idx = np.asarray(sorted(split.labeled_ids), dtype=np.int64)
+        lab_idx = np.flatnonzero(state == _ROW_LABELED)
         model = fit(Z[lab_idx], dataset.labels[lab_idx], dataset.k, cfg.fit)
         acc = accuracy(model, Z[hold_idx], dataset.labels[hold_idx])
-        return model, acc
+        return model, acc, len(lab_idx)
 
     records: list[RoundRecord] = []
     t0 = time.perf_counter()
-    model, acc = fit_and_score()
+    model, acc, labeled_count = fit_and_score()
     records.append(RoundRecord(
         trial=trial_index, round=0, selected_ids=(),
-        labeled_count=len(split.labeled_ids), holdout_accuracy=acc,
+        labeled_count=labeled_count, holdout_accuracy=acc,
         elapsed_ms=int((time.perf_counter() - t0) * 1000),
     ))
 
-    seen: set[int] = set(split.labeled_ids)
     for r in range(1, cfg.rounds + 1):
         t0 = time.perf_counter()
         try:
-            pool_idx = np.asarray(sorted(split.pool_ids), dtype=np.int64)
+            pool_idx = np.flatnonzero(state == _ROW_POOL)
             scores = score_pool(model, Z[pool_idx], cfg.strategy, ids=pool_idx)
             selected = select_batch(cfg.strategy, scores, cfg.batch, select_rng)
         except Exception as exc:
             _note(exc, f"while selecting in trial {trial_index}, round {r}")
             raise
 
-        if not selected <= split.pool_ids:
+        sel_idx = np.fromiter(selected, dtype=np.int64, count=len(selected))
+        if len(sel_idx) != cfg.batch or len(np.unique(sel_idx)) != cfg.batch:
+            raise RuntimeError(f"round {r} selected {len(sel_idx)} ids "
+                               f"({len(np.unique(sel_idx))} distinct), expected {cfg.batch}")
+        # a negative id would index from the end of `state`
+        if sel_idx.min() < 0 or sel_idx.max() >= n or (state[sel_idx] != _ROW_POOL).any():
             raise RuntimeError(f"round {r} selected ids outside the pool")
-        if selected & seen:
-            raise RuntimeError(f"round {r} re-selected already-labeled ids")
-        seen |= selected
-
-        split.pool_ids -= selected
-        split.labeled_ids |= selected  # oracle: ground-truth labels revealed
-        split.check()
-        if len(split.labeled_ids) != cfg.n0 + r * cfg.batch:
-            raise RuntimeError(f"round {r}: labeled_count arithmetic violated")
+        state[sel_idx] = _ROW_LABELED  # oracle: ground-truth labels revealed
 
         try:
-            model, acc = fit_and_score()
+            model, acc, labeled_count = fit_and_score()
         except Exception as exc:
             _note(exc, f"while refitting in trial {trial_index}, round {r}")
             raise
         records.append(RoundRecord(
             trial=trial_index, round=r, selected_ids=tuple(sorted(selected)),
-            labeled_count=len(split.labeled_ids), holdout_accuracy=acc,
+            labeled_count=labeled_count, holdout_accuracy=acc,
             elapsed_ms=int((time.perf_counter() - t0) * 1000),
         ))
     return records

@@ -45,16 +45,10 @@ class RngState:
         """Independent child stream addressed by integer keys."""
         return RngState(self.seed, self.path + tuple(int(k) for k in keys))
 
-    def uniform_open(self) -> float:
-        """One double in the open interval (0, 1); rejects boundary values."""
-        x = self._gen.random()
-        while x == 0.0:
-            x = self._gen.random()
-        return x
-
     def uniforms_open(self, size: int) -> np.ndarray:
-        """Block of doubles in (0, 1); consumes the same stream as repeated
-        scalar draws (zero hits are redrawn in place)."""
+        """Block of doubles in the open interval (0, 1); zero hits are
+        redrawn in place. Consecutive blocks read one stream, so one block
+        of `size` equals `size` one-element blocks unless a zero is redrawn."""
         arr = self._gen.random(size)
         zero = arr == 0.0
         while zero.any():

@@ -116,7 +116,7 @@ def select_batch(cfg: StrategyConfig, scores: PoolScores, b: int,
         ranked = scores.ids[order].tolist()
         chosen: set[int] = set()
         for _ in range(b):
-            if rng.uniform_open() < cfg.epsilon:
+            if rng.uniforms_open(1)[0] < cfg.epsilon:
                 j = rng.integers(len(ranked))
             else:
                 j = 0

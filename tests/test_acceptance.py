@@ -215,8 +215,9 @@ def test_criterion_7_split_and_selection_invariants(capsys):
         seen |= sel
     if len(seen) != cfg.rounds * cfg.batch:
         problems.append(f"total selected {len(seen)} != rounds*batch")
-    # run_trial additionally re-checks disjointness and coverage after every
-    # round and raises on violation, so reaching here covers those too
+    # run_trial keeps the split as one state per row, so disjointness and
+    # coverage hold by construction, and it raises if a round's selection is
+    # not `batch` distinct pool ids, so reaching here covers those too
     with capsys.disabled():
         report(7, not problems,
                "all per-round invariants held" if not problems else "; ".join(problems),

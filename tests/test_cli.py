@@ -1,15 +1,17 @@
 """CLI surface tests: config parsing, exit codes, output files, rendering."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from alselect.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_VACUOUS,
-                          ConfigError, build_experiment_config, main,
-                          parse_config)
-from alselect.strategies import StrategyKind
+from alselect.cli import (_REQUIRED_KEYS, _RUN_KEYS, EXIT_CONFIG, EXIT_DATA,
+                          EXIT_OK, EXIT_VACUOUS, ConfigError,
+                          build_experiment_config, main, parse_config)
+from alselect.harness import ExperimentConfig
+from alselect.strategies import StrategyConfig, StrategyKind
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -136,6 +138,33 @@ class TestRun:
         cfg = write_config(tmp_path, tmp_path / "nope.csv", tmp_path / "o")
         rc, _, err = run_cli(capsys, "run", str(cfg))
         assert rc == EXIT_DATA
+        assert not (tmp_path / "o").exists()
+
+    def test_writes_label_mapping(self, capsys, tmp_path):
+        # string labels, mapped to integers in order of first appearance
+        csv_path = make_synth(capsys, tmp_path)
+        names = {"0": "zebra", "1": "ant", "2": "mole"}
+        header, *lines = csv_path.read_text(encoding="utf-8").splitlines()
+        rows = [line.rsplit(",", 1) for line in lines]
+        named = tmp_path / "named.csv"
+        named.write_text(header + "\n" + "".join(f"{x},{names[y]}\n" for x, y in rows),
+                         encoding="utf-8")
+        first_seen = list(dict.fromkeys(names[y] for _, y in rows))
+        out_dir = tmp_path / "o"
+        rc, _, err = run_cli(capsys, "run", str(write_config(tmp_path, named, out_dir)))
+        assert rc == EXIT_OK, err
+        text = (out_dir / "labels.json").read_text(encoding="utf-8")
+        assert text == json.dumps({s: i for i, s in enumerate(first_seen)}, indent=2) + "\n"
+        assert list(json.loads(text)) == first_seen
+        assert not (tmp_path / "named.csv.labels.json").exists()
+
+    def test_n0_zero_is_config_error(self, capsys, tmp_path):
+        csv_path = make_synth(capsys, tmp_path)
+        cfg = write_config(tmp_path, csv_path, tmp_path / "o", n0=0)
+        rc, _, err = run_cli(capsys, "run", str(cfg))
+        assert rc == EXIT_CONFIG
+        assert "n0" in err
+        assert not (tmp_path / "o").exists()
 
     def test_rerun_byte_identical_records(self, capsys, tmp_path):
         csv_path = make_synth(capsys, tmp_path)
@@ -177,6 +206,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as exc:
             parse_config(p)
         assert "dataset_path" in str(exc.value)
+
+    def test_defaults_come_from_dataclasses(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("dataset_path=x\nlabel_column=y\nstrategy=eps_greedy\nout_dir=o\n",
+                     encoding="utf-8")
+        cfg = build_experiment_config(parse_config(p))
+        assert cfg == ExperimentConfig(strategy=StrategyConfig(kind=StrategyKind.EPS_GREEDY))
+
+    def test_every_optional_key_sets_its_field(self):
+        optional = {"epsilon": 0.5, "chi": 0.5, "exponent_d": 2.0, "n0": 7, "rounds": 3,
+                    "batch": 4, "trials": 2, "holdout_fraction": 0.5, "l2_reg": 0.5,
+                    "max_iters": 9, "tol": 0.5, "master_seed": 8}
+        assert optional.keys() == _RUN_KEYS.keys() - set(_REQUIRED_KEYS)
+        cfg = build_experiment_config({"strategy": "weighted", **optional})
+        fields = {**dataclasses.asdict(cfg), **dataclasses.asdict(cfg.strategy),
+                  **dataclasses.asdict(cfg.fit)}
+        assert {k: fields[k] for k in optional} == optional
 
     def test_readme_example_parses(self, tmp_path):
         (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)

@@ -1,7 +1,5 @@
 """CSV ingestion and standardization tests."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -31,14 +29,6 @@ class TestLoadCsv:
         ds = load_csv(p, "y")
         assert ds.labels.tolist() == [0, 1, 0, 2]
         assert ds.label_names == ("z", "a", "m")
-
-    def test_sidecar_manifest(self, tmp_path):
-        p = write(tmp_path, "x,y\n1,cat\n2,dog\n")
-        load_csv(p, "y", manifest_path=tmp_path / "labels.json")
-        manifest = json.loads((tmp_path / "labels.json").read_text())
-        assert manifest == {"cat": 0, "dog": 1}
-        load_csv(p, "y")
-        assert not (tmp_path / "data.csv.labels.json").exists()
 
     def test_missing_column(self, tmp_path):
         p = write(tmp_path, "f1,f2\n1,2\n")

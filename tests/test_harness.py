@@ -11,9 +11,10 @@ from alselect.data import standardize_apply, standardize_fit
 from alselect.errors import (InfeasibleSpecError,
                              InsufficientClassInstancesError,
                              VacuousBoundError)
+from alselect import harness
 from alselect.harness import (ExperimentConfig, SynthPocketSpec, biased_init,
-                              generate_pocket_dataset, run_experiment,
-                              run_trial, validate_lemma)
+                              generate_pocket_dataset, holdout_ids,
+                              run_experiment, run_trial, validate_lemma)
 from alselect.sampling import RngState
 from alselect.strategies import StrategyConfig, StrategyKind
 
@@ -112,7 +113,6 @@ class TestRunTrial:
         assert acc0[StrategyKind.RANDOM] == acc0[StrategyKind.GREEDY]
 
     def test_holdout_depends_only_on_master_seed(self):
-        from alselect.harness import holdout_ids
         a = holdout_ids(500, small_config(kind=StrategyKind.RANDOM))
         b = holdout_ids(500, small_config(kind=StrategyKind.GREEDY))
         c = holdout_ids(500, small_config(master_seed=12))
@@ -129,6 +129,36 @@ class TestRunTrial:
         cfg = small_config(rounds=100, batch=50)
         with pytest.raises(ValueError):
             run_trial(dataset, cfg, 0)
+
+
+    @pytest.mark.parametrize("case", ["holdout", "labeled", "short", "repeat", "id_n",
+                                      "negative"])
+    def test_rejects_bad_selection(self, monkeypatch, case):
+        # round 1 selects as usual; round 2 returns a corrupted batch
+        dataset, _ = generate_pocket_dataset(small_spec())
+        cfg = small_config(rounds=2, trials=1)
+        hold = holdout_ids(dataset.n, cfg)
+        real = harness.select_batch
+        batches = []
+
+        def corrupted(*args):
+            batches.append(real(*args))
+            if len(batches) == 1:
+                return batches[0]
+            ids = sorted(batches[-1])
+            return {
+                "holdout": set(ids[1:]) | {min(hold)},
+                "labeled": set(ids[1:]) | {min(batches[0])},
+                "short": set(ids[1:]),
+                "repeat": ids[1:] + [ids[1]],
+                "id_n": set(ids[1:]) | {dataset.n},
+                "negative": set(ids[1:]) | {-1},
+            }[case]
+
+        monkeypatch.setattr(harness, "select_batch", corrupted)
+        with pytest.raises(RuntimeError, match="round 2"):
+            run_trial(dataset, cfg, 0)
+        assert len(batches) == 2
 
 
 class TestRunExperiment:

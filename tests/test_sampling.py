@@ -16,24 +16,34 @@ from alselect.sampling import (_CHUNK, RngState, SelectionStats, select_top_k,
                                uniform_sample)
 
 
+def oracle_generator(*seed_path):
+    """A raw numpy generator seeded the way RngState documents it."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(seed_path))))
+
+
 class TestRngState:
     def test_deterministic(self):
         a = RngState(42)
         b = RngState(42)
-        assert [a.uniform_open() for _ in range(5)] == [b.uniform_open() for _ in range(5)]
+        draws = [a.uniforms_open(1)[0] for _ in range(5)]
+        assert draws == [b.uniforms_open(1)[0] for _ in range(5)]
+        assert draws == oracle_generator(42).random(5).tolist()
 
     def test_chunk_matches_scalar_stream(self):
         a = RngState(7).uniforms_open(16)
-        b = np.array([RngState(7).uniform_open() for _ in range(1)])
-        assert a[0] == b[0]
+        g = oracle_generator(7)
+        assert np.array_equal(a, np.array([g.random() for _ in range(16)]))
         c = RngState(7)
-        scalars = np.array([c.uniform_open() for _ in range(16)])
-        assert np.array_equal(a, scalars)
+        singles = np.concatenate([c.uniforms_open(1) for _ in range(16)])
+        assert np.array_equal(a, singles)
 
     def test_derive_independent(self):
         root = RngState(3)
-        assert root.derive(1).uniform_open() != root.derive(2).uniform_open()
-        assert RngState(3).derive(1, 5).uniform_open() == RngState(3).derive(1, 5).uniform_open()
+        assert root.derive(1).uniforms_open(1)[0] != root.derive(2).uniforms_open(1)[0]
+        assert np.array_equal(RngState(3).derive(1, 5).uniforms_open(4),
+                              RngState(3).derive(1, 5).uniforms_open(4))
+        assert np.array_equal(root.derive(1, 5).uniforms_open(4),
+                              oracle_generator(3, 1, 5).random(4))
 
     def test_open_interval(self):
         r = RngState(0)
