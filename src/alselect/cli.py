@@ -5,7 +5,8 @@ Subcommands: run (experiment from a flat key=value config file), bound
 CSV), report (render a dataset x strategy accuracy matrix).
 
 Exit codes: 0 ok, 2 config/flag errors, 3 data errors, 4 runtime errors,
-5 vacuous bound.
+5 vacuous bound. Commands raise; `main` alone turns an exception into an
+exit code and prints it with its notes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from .classifier import FitConfig
 from .data import load_csv
-from .errors import DataFormatError, InfeasibleSpecError, VacuousBoundError
+from .errors import DataFormatError, VacuousBoundError
 from .harness import (ExperimentConfig, ExperimentResult, SynthPocketSpec,
                       generate_pocket_dataset, run_experiment)
 from .probs import LemmaBoundInput, lemma_bound
@@ -57,10 +58,17 @@ _RUN_KEYS = {
     "out_dir": str,
 }
 _REQUIRED_KEYS = ("dataset_path", "label_column", "strategy", "out_dir")
+# the summary.json keys `report` reads, with their JSON types (bool is not numeric)
+_SUMMARY_TYPES = {"dataset": (str,), "strategy": (str,),
+                  "final_accuracy_mean": (int, float), "final_accuracy_std": (int, float)}
 
 
 class ConfigError(ValueError):
-    pass
+    """A config file, flag or synth spec is invalid (exit 2)."""
+
+
+class DataError(Exception):
+    """An input file cannot be read or is malformed (exit 3)."""
 
 
 def parse_config(path) -> dict:
@@ -68,8 +76,12 @@ def parse_config(path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -117,11 +129,8 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
 
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _record_line(rec) -> str:
@@ -139,7 +148,7 @@ def _record_line(rec) -> str:
 def write_run_outputs(out_dir: Path, values: dict, cfg: ExperimentConfig,
                       result: ExperimentResult, dataset_checksum: str,
                       label_names: tuple[str, ...]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=False)
     with open(out_dir / "labels.json", "w", encoding="utf-8") as fh:
         json.dump({name: i for i, name in enumerate(label_names)}, fh, indent=2)
         fh.write("\n")
@@ -175,25 +184,18 @@ def write_run_outputs(out_dir: Path, values: dict, cfg: ExperimentConfig,
 
 
 def cmd_run(args) -> int:
-    try:
-        values = parse_config(args.config)
-        cfg = build_experiment_config(values)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    values = parse_config(args.config)
+    cfg = build_experiment_config(values)
+    out_dir = Path(values["out_dir"])
+    if out_dir.exists():
+        raise ConfigError(f"out_dir {out_dir} already exists; a run never overwrites a result")
     try:
         dataset = load_csv(values["dataset_path"], values["label_column"])
         checksum = _sha256(values["dataset_path"])
     except (DataFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        result = run_experiment(dataset, cfg)
-        write_run_outputs(Path(values["out_dir"]), values, cfg, result, checksum,
-                          dataset.label_names)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise DataError(str(exc)) from exc
+    result = run_experiment(dataset, cfg)
+    write_run_outputs(out_dir, values, cfg, result, checksum, dataset.label_names)
     print(f"wrote {len(result.records)} records to {values['out_dir']}; "
           f"final accuracy {100 * result.final_accuracy_mean:.2f} "
           f"± {100 * result.final_accuracy_std:.2f}")
@@ -204,8 +206,7 @@ def cmd_bound(args) -> int:
     try:
         inp = LemmaBoundInput(beta=args.beta, chi=args.chi, k=args.k, delta=args.delta)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(str(exc)) from exc
     try:
         rep = lemma_bound(inp)
     except VacuousBoundError as exc:
@@ -230,25 +231,20 @@ def cmd_synth(args) -> int:
             pocket_offset=args.pocket_offset,
             overlap_fraction=args.overlap_fraction,
         )
-    except (ValueError, InfeasibleSpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         dataset, pocket_ids = generate_pocket_dataset(spec)
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(",".join(dataset.feature_names) + ",label\n")
-            for i in range(dataset.n):
-                feats = ",".join(repr(float(v)) for v in dataset.features[i])
-                fh.write(f"{feats},{dataset.label_names[dataset.labels[i]]}\n")
-        with open(str(out) + ".pocket.json", "w", encoding="utf-8") as fh:
-            json.dump({"pocket_ids": sorted(pocket_ids),
-                       "beta": spec.beta, "n": spec.n}, fh, indent=2)
-            fh.write("\n")
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(",".join(dataset.feature_names) + ",label\n")
+        for i in range(dataset.n):
+            feats = ",".join(repr(float(v)) for v in dataset.features[i])
+            fh.write(f"{feats},{dataset.label_names[dataset.labels[i]]}\n")
+    with open(str(out) + ".pocket.json", "w", encoding="utf-8") as fh:
+        json.dump({"pocket_ids": sorted(pocket_ids),
+                   "beta": spec.beta, "n": spec.n}, fh, indent=2)
+        fh.write("\n")
     print(f"wrote {dataset.n} rows to {out} ({len(pocket_ids)} pocket ids in sidecar)")
     return EXIT_OK
 
@@ -262,29 +258,28 @@ def _parse_prevalence(text: str, k: int) -> list[float]:
 def cmd_report(args) -> int:
     results_dir = Path(args.results_dir)
     if not results_dir.is_dir():
-        print(f"error: results dir not found: {results_dir}", file=sys.stderr)
-        return EXIT_DATA
+        raise DataError(f"results dir not found: {results_dir}")
     summaries = sorted(results_dir.glob("**/summary.json"))
     if not summaries:
-        print(f"error: no summary.json files under {results_dir}", file=sys.stderr)
-        return EXIT_DATA
+        raise DataError(f"no summary.json files under {results_dir}")
     cells: dict[tuple[str, str], str] = {}
     sources: dict[tuple[str, str], Path] = {}
     datasets: list[str] = []
     strategies: list[str] = []
     for p in summaries:
         try:
-            with open(p, "r", encoding="utf-8") as fh:
-                s = json.load(fh)
-            ds, strat = s["dataset"], s["strategy"]
-            mean, std = s["final_accuracy_mean"], s["final_accuracy_std"]
-        except (json.JSONDecodeError, KeyError) as exc:
-            print(f"error: malformed summary {p}: {exc}", file=sys.stderr)
-            return EXIT_DATA
+            s = json.loads(p.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
+            raise DataError(f"malformed summary {p}: {exc}") from None
+        if not isinstance(s, dict) or any(type(s.get(k)) not in t
+                                          for k, t in _SUMMARY_TYPES.items()):
+            raise DataError(f"malformed summary {p}: expected an object with string dataset and "
+                            "strategy and numeric final_accuracy_mean and final_accuracy_std")
+        ds, strat = s["dataset"], s["strategy"]
+        mean, std = s["final_accuracy_mean"], s["final_accuracy_std"]
         if (ds, strat) in sources:
-            print(f"error: duplicate summary for dataset {ds!r}, strategy {strat!r}: "
-                  f"{sources[(ds, strat)]} and {p}", file=sys.stderr)
-            return EXIT_DATA
+            raise DataError(f"duplicate summary for dataset {ds!r}, strategy {strat!r}: "
+                            f"{sources[(ds, strat)]} and {p}")
         sources[(ds, strat)] = p
         cells[(ds, strat)] = f"{100 * mean:.2f} ± {100 * std:.2f}"
         if ds not in datasets:
@@ -356,7 +351,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad flags, which matches our config exit code
         return int(exc.code) if exc.code else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        for note in getattr(exc, "__notes__", ()):
+            print(f"  {note}", file=sys.stderr)
+        if isinstance(exc, ConfigError):
+            return EXIT_CONFIG
+        if isinstance(exc, DataError):
+            return EXIT_DATA
+        return EXIT_RUNTIME
 
 
 def entry() -> None:

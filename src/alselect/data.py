@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyFileError, MissingColumnError, NonNumericCellError
+from .errors import DataFormatError, EmptyFileError, MissingColumnError, NonNumericCellError
 
 
 @dataclass(frozen=True)
@@ -60,40 +60,44 @@ def load_csv(path, label_column: str) -> Dataset:
     """Load a dataset; row order is preserved exactly as on disk.
 
     Labels become integers 0..k-1 in order of first appearance, so label i
-    is `label_names[i]`. Feature cells must parse as finite floats.
+    is `label_names[i]`, and there must be at least two. The file must be
+    UTF-8 and feature cells must parse as finite floats.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFileError(path) from None
-        if not header or header == [""]:
-            raise EmptyFileError(path)
-        if label_column not in header:
-            raise MissingColumnError(path, label_column)
-        label_idx = header.index(label_column)
-        feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise EmptyFileError(path) from None
+            if not header or header == [""]:
+                raise EmptyFileError(path)
+            if label_column not in header:
+                raise MissingColumnError(path, label_column)
+            label_idx = header.index(label_column)
+            feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
 
-        rows: list[list[float]] = []
-        raw_labels: list[str] = []
-        for rownum, row in enumerate(reader):
-            if len(row) != len(header):
-                raise NonNumericCellError(path, rownum, "<row>", f"{len(row)} cells, expected {len(header)}")
-            vals = []
-            for i, cell in enumerate(row):
-                if i == label_idx:
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise NonNumericCellError(path, rownum, header[i], cell) from None
-                if not math.isfinite(v):
-                    raise NonNumericCellError(path, rownum, header[i], cell)
-                vals.append(v)
-            rows.append(vals)
-            raw_labels.append(row[label_idx])
+            rows: list[list[float]] = []
+            raw_labels: list[str] = []
+            for rownum, row in enumerate(reader):
+                if len(row) != len(header):
+                    raise NonNumericCellError(path, rownum, "<row>", f"{len(row)} cells, expected {len(header)}")
+                vals = []
+                for i, cell in enumerate(row):
+                    if i == label_idx:
+                        continue
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        raise NonNumericCellError(path, rownum, header[i], cell) from None
+                    if not math.isfinite(v):
+                        raise NonNumericCellError(path, rownum, header[i], cell)
+                    vals.append(v)
+                rows.append(vals)
+                raw_labels.append(row[label_idx])
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: file is not UTF-8 text") from None
 
     if not rows:
         raise EmptyFileError(path)
@@ -102,6 +106,8 @@ def load_csv(path, label_column: str) -> Dataset:
     for s in raw_labels:
         if s not in mapping:
             mapping[s] = len(mapping)
+    if len(mapping) < 2:
+        raise DataFormatError(f"{path}: label column {label_column!r} has one distinct value")
     labels = np.array([mapping[s] for s in raw_labels], dtype=np.int64)
 
     label_names = tuple(sorted(mapping, key=mapping.get))

@@ -118,11 +118,6 @@ def biased_init(labels: Sequence[int], n0: int, k: int, rng: RngState,
     return chosen
 
 
-def _note(exc, msg):
-    if hasattr(exc, "add_note"):
-        exc.add_note(msg)
-
-
 def holdout_ids(n: int, cfg: ExperimentConfig) -> set[int]:
     """The holdout split for a dataset of n rows: derived from the master
     seed only, so every trial and every strategy shares it."""
@@ -143,15 +138,20 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
 
     The split is one state per dataset row (pool, labeled or holdout), so
     its parts are disjoint and cover the dataset by construction; each
-    round checks that select_batch returned `batch` distinct pool ids.
+    round checks that select_batch returned `batch` distinct pool ids. An
+    exception raised in a round carries the note "in trial t, round r".
     """
     n = dataset.n
     master = RngState(cfg.master_seed)
 
     state = np.full(n, _ROW_POOL, dtype=np.int8)
     state[list(holdout_ids(n, cfg))] = _ROW_HOLDOUT
+    hold_idx = np.flatnonzero(state == _ROW_HOLDOUT)
     remaining = np.flatnonzero(state == _ROW_POOL)
 
+    if len(hold_idx) == 0:
+        raise ValueError(f"holdout_fraction = {cfg.holdout_fraction} leaves no holdout "
+                         f"rows in a dataset of {n} rows")
     if cfg.n0 + cfg.rounds * cfg.batch > len(remaining):
         raise ValueError(
             f"n0 + rounds*batch = {cfg.n0 + cfg.rounds * cfg.batch} exceeds "
@@ -166,50 +166,35 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
 
     std = standardize_fit(dataset.features[state == _ROW_LABELED])
     Z = standardize_apply(std, dataset.features)
-    hold_idx = np.flatnonzero(state == _ROW_HOLDOUT)
-
-    def fit_and_score():
-        lab_idx = np.flatnonzero(state == _ROW_LABELED)
-        model = fit(Z[lab_idx], dataset.labels[lab_idx], dataset.k, cfg.fit)
-        acc = accuracy(model, Z[hold_idx], dataset.labels[hold_idx])
-        return model, acc, len(lab_idx)
 
     records: list[RoundRecord] = []
-    t0 = time.perf_counter()
-    model, acc, labeled_count = fit_and_score()
-    records.append(RoundRecord(
-        trial=trial_index, round=0, selected_ids=(),
-        labeled_count=labeled_count, holdout_accuracy=acc,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-    ))
-
-    for r in range(1, cfg.rounds + 1):
+    for r in range(cfg.rounds + 1):
         t0 = time.perf_counter()
+        selected = ()
         try:
-            pool_idx = np.flatnonzero(state == _ROW_POOL)
-            scores = score_pool(model, Z[pool_idx], cfg.strategy, ids=pool_idx)
-            selected = select_batch(cfg.strategy, scores, cfg.batch, select_rng)
-        except Exception as exc:
-            _note(exc, f"while selecting in trial {trial_index}, round {r}")
-            raise
+            if r:
+                pool_idx = np.flatnonzero(state == _ROW_POOL)
+                scores = score_pool(model, Z[pool_idx], cfg.strategy, ids=pool_idx)
+                selected = select_batch(cfg.strategy, scores, cfg.batch, select_rng)
+                sel_idx = np.fromiter(selected, dtype=np.int64, count=len(selected))
+                distinct = len(np.unique(sel_idx))
+                if len(sel_idx) != cfg.batch or distinct != cfg.batch:
+                    raise RuntimeError(f"round {r} selected {len(sel_idx)} ids "
+                                       f"({distinct} distinct), expected {cfg.batch}")
+                # a negative id would index from the end of `state`
+                if sel_idx.min() < 0 or sel_idx.max() >= n or (state[sel_idx] != _ROW_POOL).any():
+                    raise RuntimeError(f"round {r} selected ids outside the pool")
+                state[sel_idx] = _ROW_LABELED  # oracle: ground-truth labels revealed
 
-        sel_idx = np.fromiter(selected, dtype=np.int64, count=len(selected))
-        if len(sel_idx) != cfg.batch or len(np.unique(sel_idx)) != cfg.batch:
-            raise RuntimeError(f"round {r} selected {len(sel_idx)} ids "
-                               f"({len(np.unique(sel_idx))} distinct), expected {cfg.batch}")
-        # a negative id would index from the end of `state`
-        if sel_idx.min() < 0 or sel_idx.max() >= n or (state[sel_idx] != _ROW_POOL).any():
-            raise RuntimeError(f"round {r} selected ids outside the pool")
-        state[sel_idx] = _ROW_LABELED  # oracle: ground-truth labels revealed
-
-        try:
-            model, acc, labeled_count = fit_and_score()
+            lab_idx = np.flatnonzero(state == _ROW_LABELED)
+            model = fit(Z[lab_idx], dataset.labels[lab_idx], dataset.k, cfg.fit)
+            acc = accuracy(model, Z[hold_idx], dataset.labels[hold_idx])
         except Exception as exc:
-            _note(exc, f"while refitting in trial {trial_index}, round {r}")
+            exc.add_note(f"in trial {trial_index}, round {r}")
             raise
         records.append(RoundRecord(
             trial=trial_index, round=r, selected_ids=tuple(sorted(selected)),
-            labeled_count=labeled_count, holdout_accuracy=acc,
+            labeled_count=len(lab_idx), holdout_accuracy=acc,
             elapsed_ms=int((time.perf_counter() - t0) * 1000),
         ))
     return records

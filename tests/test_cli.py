@@ -2,18 +2,23 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from alselect import cli, harness
 from alselect.cli import (_REQUIRED_KEYS, _RUN_KEYS, EXIT_CONFIG, EXIT_DATA,
-                          EXIT_OK, EXIT_VACUOUS, ConfigError,
+                          EXIT_OK, EXIT_RUNTIME, EXIT_VACUOUS, ConfigError,
                           build_experiment_config, main, parse_config)
 from alselect.harness import ExperimentConfig
 from alselect.strategies import StrategyConfig, StrategyKind
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +108,14 @@ class TestSynth:
                              "--beta", "0.1", "--out", str(tmp_path / "x.csv"))
         assert rc == EXIT_CONFIG
 
+    def test_empty_pocket_is_config_error(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        rc, _, err = run_cli(capsys, "synth", "--n", "5", "--d", "3", "--k", "3",
+                             "--beta", "0.01", "--out", str(out))
+        assert rc == EXIT_CONFIG
+        assert err == "error: beta*n = 0.050 rounds to an empty pocket\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRun:
     def test_minimal_run(self, capsys, tmp_path):
@@ -165,6 +178,60 @@ class TestRun:
         assert rc == EXIT_CONFIG
         assert "n0" in err
         assert not (tmp_path / "o").exists()
+
+    def test_one_label_csv_is_data_error(self, capsys, tmp_path):
+        csv_path = tmp_path / "one.csv"
+        csv_path.write_text("x,label\n" + "".join(f"{i}.0,a\n" for i in range(50)),
+                            encoding="utf-8")
+        rc, _, err = run_cli(capsys, "run", str(write_config(tmp_path, csv_path, tmp_path / "o")))
+        assert rc == EXIT_DATA
+        assert err.startswith(f"error: {csv_path}: label column 'label' has one distinct")
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_csv_is_data_error(self, capsys, tmp_path):
+        csv_path = make_synth(capsys, tmp_path)
+        csv_path.write_bytes(csv_path.read_bytes() + b"0,0,0,0,\xff\n")
+        rc, _, err = run_cli(capsys, "run", str(write_config(tmp_path, csv_path, tmp_path / "o")))
+        assert rc == EXIT_DATA
+        assert err == f"error: {csv_path}: file is not UTF-8 text\n"
+
+    def test_non_utf8_config_is_config_error(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, tmp_path / "d.csv", tmp_path / "o")
+        cfg.write_bytes(cfg.read_bytes() + b"# \xff\n")
+        rc, _, err = run_cli(capsys, "run", str(cfg))
+        assert rc == EXIT_CONFIG
+        assert err.startswith(f"error: cannot read config file {cfg}: ")
+        assert err.count("\n") == 1
+
+    def test_existing_out_dir_is_config_error(self, capsys, tmp_path):
+        csv_path = make_synth(capsys, tmp_path)
+        out_dir = tmp_path / "o"
+        rc, _, err = run_cli(capsys, "run", str(write_config(tmp_path, csv_path, out_dir)))
+        assert rc == EXIT_OK, err
+        first = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert {"records.jsonl", "summary.json", "manifest.json", "labels.json"} <= first.keys()
+        cfg = write_config(tmp_path, csv_path, out_dir, strategy="greedy")
+        rc, out, err = run_cli(capsys, "run", str(cfg))
+        assert rc == EXIT_CONFIG
+        assert out == ""
+        assert err == f"error: out_dir {out_dir} already exists; a run never overwrites a result\n"
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == first
+
+    def test_out_dir_appearing_during_run_is_runtime_error(self, capsys, tmp_path, monkeypatch):
+        csv_path = make_synth(capsys, tmp_path)
+        out_dir = tmp_path / "o"
+        real = cli.run_experiment
+
+        def run_then_create(*args):
+            result = real(*args)
+            out_dir.mkdir()
+            return result
+
+        monkeypatch.setattr(cli, "run_experiment", run_then_create)
+        rc, _, err = run_cli(capsys, "run", str(write_config(tmp_path, csv_path, out_dir)))
+        assert rc == EXIT_RUNTIME
+        assert err.startswith("error: ") and str(out_dir) in err
+        assert list(out_dir.iterdir()) == []
 
     def test_rerun_byte_identical_records(self, capsys, tmp_path):
         csv_path = make_synth(capsys, tmp_path)
@@ -272,6 +339,25 @@ class TestReport:
         rc, _, err = run_cli(capsys, "report", str(tmp_path / "nothing"))
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("content", [
+        "[]",
+        '{"dataset": "d1", "strategy": "random", "final_accuracy_mean": "0.9", '
+        '"final_accuracy_std": 0.0}',
+        '{"dataset": "d1", "strategy": "random", "final_accuracy_mean": 0.9}',
+        '{"dataset": ["d1"], "strategy": "random", "final_accuracy_mean": 0.9, '
+        '"final_accuracy_std": 0.0}',
+    ], ids=["list", "string_mean", "no_std", "list_dataset"])
+    def test_malformed_summary_rejected(self, capsys, tmp_path, content):
+        root = tmp_path / "res"
+        self._write_summary(root, "d0", "random", 0.9, 0.0)
+        bad = root / "x" / "summary.json"
+        bad.parent.mkdir()
+        bad.write_text(content, encoding="utf-8")
+        rc, out, err = run_cli(capsys, "report", str(root))
+        assert rc == EXIT_DATA
+        assert out == ""
+        assert err.startswith(f"error: malformed summary {bad}: ")
+
     def test_duplicate_cell_rejected(self, capsys, tmp_path):
         root = tmp_path / "res"
         self._write_summary(root / "a", "d1", "random", 0.9, 0.0)
@@ -281,6 +367,55 @@ class TestReport:
         assert out == ""
         assert str(root / "a" / "d1-random" / "summary.json") in err
         assert str(root / "b" / "d1-random" / "summary.json") in err
+
+
+class TestFailureBoundary:
+    """`main` is the one place that turns an exception into an exit code."""
+
+    def test_round_failure_names_trial_and_round(self, capsys, tmp_path, monkeypatch):
+        csv_path = make_synth(capsys, tmp_path)
+        out_dir = tmp_path / "o"
+        real = harness.select_batch
+        calls = []
+
+        def boom_in_round_2(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("boom")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "select_batch", boom_in_round_2)
+        rc, out, err = run_cli(capsys, "run", str(write_config(tmp_path, csv_path, out_dir)))
+        assert rc == EXIT_RUNTIME
+        assert out == ""
+        assert err == "error: boom\n  in trial 0, round 2\n"
+        assert not out_dir.exists()
+
+    def test_unexpected_exception_is_runtime_error(self, capsys, tmp_path, monkeypatch):
+        def fail(*args):
+            raise KeyError
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        csv_path = make_synth(capsys, tmp_path)
+        rc, _, err = run_cli(capsys, "run", str(write_config(tmp_path, csv_path, tmp_path / "o")))
+        assert rc == EXIT_RUNTIME
+        assert err == "error: KeyError\n"
+
+    def test_python_m_alselect(self, tmp_path):
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                           os.environ.get("PYTHONPATH")]))}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "alselect", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+
+        bound = run("bound", "--beta", "0.1", "--chi", "0.05", "--k", "10", "--delta", "0.05")
+        assert bound.returncode == EXIT_OK, bound.stderr
+        assert "n_s=80" in bound.stdout.splitlines()
+        missing = run("run", str(tmp_path / "missing.cfg"))
+        assert missing.returncode == EXIT_CONFIG
+        assert missing.stderr == f"error: config file not found: {tmp_path / 'missing.cfg'}\n"
 
 
 class TestArgparse:

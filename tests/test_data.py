@@ -5,8 +5,8 @@ import pytest
 
 from alselect.data import (Dataset, StandardizationParams, load_csv,
                            standardize_apply, standardize_fit)
-from alselect.errors import (EmptyFileError, MissingColumnError,
-                             NonNumericCellError)
+from alselect.errors import (DataFormatError, EmptyFileError,
+                             MissingColumnError, NonNumericCellError)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -71,6 +71,19 @@ class TestLoadCsv:
         d1, d2 = load_csv(p1, "y"), load_csv(p2, "y")
         assert np.array_equal(d1.features, d2.features)
         assert np.array_equal(d1.labels, d2.labels)
+
+    def test_one_label_rejected(self, tmp_path):
+        p = write(tmp_path, "x,y\n1.0,a\n2.0,a\n")
+        with pytest.raises(DataFormatError, match="one distinct value") as exc:
+            load_csv(p, "y")
+        assert str(p) in str(exc.value)
+
+    def test_not_utf8_rejected(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("x,y\n1.0,caf\u00e9\n2.0,b\n".encode("latin-1"))
+        with pytest.raises(DataFormatError, match="not UTF-8") as exc:
+            load_csv(p, "y")
+        assert str(p) in str(exc.value)
 
     def test_numeric_labels_ok(self, tmp_path):
         p = write(tmp_path, "x,y\n1.0,7\n2.0,3\n3.0,7\n")

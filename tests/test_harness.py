@@ -130,6 +130,30 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             run_trial(dataset, cfg, 0)
 
+    def test_empty_holdout_rejected_before_any_fit(self, monkeypatch):
+        dataset, _ = generate_pocket_dataset(small_spec(n=600))
+        fits = []
+        monkeypatch.setattr(harness, "fit", lambda *args: fits.append(args))
+        with pytest.raises(ValueError, match="holdout_fraction") as exc:
+            run_trial(dataset, small_config(holdout_fraction=0.001), 0)
+        assert fits == []
+        assert not getattr(exc.value, "__notes__", [])
+
+    def test_failing_round_carries_one_note(self, monkeypatch):
+        dataset, _ = generate_pocket_dataset(small_spec())
+        real = harness.fit
+        calls = []
+
+        def fail_third_fit(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ArithmeticError("solver")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "fit", fail_third_fit)
+        with pytest.raises(ArithmeticError) as exc:
+            run_trial(dataset, small_config(), 1)
+        assert exc.value.__notes__ == ["in trial 1, round 2"]
 
     @pytest.mark.parametrize("case", ["holdout", "labeled", "short", "repeat", "id_n",
                                       "negative"])
