@@ -17,5 +17,4 @@ from .harness import (ExperimentConfig, ExperimentResult, LemmaValidationReport,
 from .probs import (LemmaBoundInput, LemmaBoundReport, entropy_lower_bound,
                     entropy_ratio_bound, lemma_bound)
 from .sampling import RngState, SelectionStats, select_top_k, uniform_sample
-from .strategies import (PoolScores, StrategyConfig, StrategyKind, score_pool,
-                         select_batch)
+from .strategies import StrategyConfig, StrategyKind, score_pool, select_batch

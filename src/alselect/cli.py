@@ -189,6 +189,9 @@ def cmd_run(args) -> int:
     out_dir = Path(values["out_dir"])
     if out_dir.exists():
         raise ConfigError(f"out_dir {out_dir} already exists; a run never overwrites a result")
+    ancestor = next(a for a in out_dir.parents if a.exists())
+    if not ancestor.is_dir():
+        raise ConfigError(f"out_dir {out_dir} cannot be created: {ancestor} is not a directory")
     try:
         dataset = load_csv(values["dataset_path"], values["label_column"])
         checksum = _sha256(values["dataset_path"])
@@ -221,6 +224,11 @@ def cmd_bound(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    out = Path(args.out)
+    sidecar = Path(f"{out}.pocket.json")
+    for path in (out, sidecar):
+        if path.exists():
+            raise ConfigError(f"{path} already exists; synth never overwrites a file")
     try:
         spec = SynthPocketSpec(
             n=args.n, d=args.d, k=args.k, beta=args.beta,
@@ -234,14 +242,13 @@ def cmd_synth(args) -> int:
         dataset, pocket_ids = generate_pocket_dataset(spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(out, "x", encoding="utf-8") as fh:
         fh.write(",".join(dataset.feature_names) + ",label\n")
         for i in range(dataset.n):
             feats = ",".join(repr(float(v)) for v in dataset.features[i])
             fh.write(f"{feats},{dataset.label_names[dataset.labels[i]]}\n")
-    with open(str(out) + ".pocket.json", "w", encoding="utf-8") as fh:
+    with open(sidecar, "x", encoding="utf-8") as fh:
         json.dump({"pocket_ids": sorted(pocket_ids),
                    "beta": spec.beta, "n": spec.n}, fh, indent=2)
         fh.write("\n")

@@ -82,7 +82,8 @@ def load_csv(path, label_column: str) -> Dataset:
             raw_labels: list[str] = []
             for rownum, row in enumerate(reader):
                 if len(row) != len(header):
-                    raise NonNumericCellError(path, rownum, "<row>", f"{len(row)} cells, expected {len(header)}")
+                    raise DataFormatError(f"{path}: row {rownum} has {len(row)} cells, "
+                                          f"expected {len(header)}")
                 vals = []
                 for i, cell in enumerate(row):
                     if i == label_idx:

@@ -86,35 +86,21 @@ class ExperimentResult:
     final_accuracy_std: float
 
 
-def biased_init(labels: Sequence[int], n0: int, k: int, rng: RngState,
-                ids: Sequence[int] | None = None) -> set[int]:
-    """Equal-prevalence seed set: floor(n0/k) ids per class, drawn uniformly
-    within each class; the n0 mod k remainder goes one per class in
-    ascending class index.
-
-    `ids` optionally names the candidate universe parallel to `labels`
-    (defaults to positions 0..len-1).
-    """
+def biased_init(labels: Sequence[int], n0: int, k: int, rng: RngState) -> set[int]:
+    """Equal-prevalence seed set as positions into `labels`: floor(n0/k)
+    per class, drawn uniformly within each class; the n0 mod k remainder
+    goes one per class in ascending class index."""
     y = np.asarray(labels, dtype=np.int64)
-    if ids is None:
-        ids = np.arange(len(y), dtype=np.int64)
-    else:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.shape != y.shape:
-            raise ValueError("ids and labels must be parallel")
-    if n0 == 0:
-        return set()
     base, rem = divmod(n0, k)
     chosen: set[int] = set()
     for c in range(k):
         quota = base + (1 if c < rem else 0)
         if quota == 0:
             continue
-        class_ids = ids[y == c]
-        if len(class_ids) < quota:
-            raise InsufficientClassInstancesError(c, len(class_ids), quota)
-        class_ids = np.sort(class_ids)
-        chosen |= uniform_sample(class_ids.tolist(), quota, rng)
+        members = np.flatnonzero(y == c)
+        if len(members) < quota:
+            raise InsufficientClassInstancesError(c, len(members), quota)
+        chosen |= uniform_sample(members.tolist(), quota, rng)
     return chosen
 
 
@@ -137,9 +123,11 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
     ground truth.
 
     The split is one state per dataset row (pool, labeled or holdout), so
-    its parts are disjoint and cover the dataset by construction; each
-    round checks that select_batch returned `batch` distinct pool ids. An
-    exception raised in a round carries the note "in trial t, round r".
+    its parts are disjoint and cover the dataset by construction. The
+    strategies see only positions into the current pool; this function
+    alone maps them to dataset rows, after checking that select_batch
+    returned `batch` distinct positions in [0, pool size). An exception
+    raised in a round carries the note "in trial t, round r".
     """
     n = dataset.n
     master = RngState(cfg.master_seed)
@@ -161,8 +149,8 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
     init_rng = master.derive(_INIT, trial_index)
     select_rng = master.derive(_SELECT, trial_index)
 
-    labeled = biased_init(dataset.labels[remaining], cfg.n0, dataset.k, init_rng, ids=remaining)
-    state[list(labeled)] = _ROW_LABELED
+    init_pos = biased_init(dataset.labels[remaining], cfg.n0, dataset.k, init_rng)
+    state[remaining[list(init_pos)]] = _ROW_LABELED
 
     std = standardize_fit(dataset.features[state == _ROW_LABELED])
     Z = standardize_apply(std, dataset.features)
@@ -174,17 +162,18 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
         try:
             if r:
                 pool_idx = np.flatnonzero(state == _ROW_POOL)
-                scores = score_pool(model, Z[pool_idx], cfg.strategy, ids=pool_idx)
-                selected = select_batch(cfg.strategy, scores, cfg.batch, select_rng)
-                sel_idx = np.fromiter(selected, dtype=np.int64, count=len(selected))
-                distinct = len(np.unique(sel_idx))
-                if len(sel_idx) != cfg.batch or distinct != cfg.batch:
-                    raise RuntimeError(f"round {r} selected {len(sel_idx)} ids "
+                scores = score_pool(model, Z[pool_idx], cfg.strategy)
+                pos = np.fromiter(select_batch(cfg.strategy, scores, cfg.batch, select_rng),
+                                  dtype=np.int64)
+                distinct = len(np.unique(pos))
+                if len(pos) != cfg.batch or distinct != cfg.batch:
+                    raise RuntimeError(f"round {r} selected {len(pos)} positions "
                                        f"({distinct} distinct), expected {cfg.batch}")
-                # a negative id would index from the end of `state`
-                if sel_idx.min() < 0 or sel_idx.max() >= n or (state[sel_idx] != _ROW_POOL).any():
-                    raise RuntimeError(f"round {r} selected ids outside the pool")
-                state[sel_idx] = _ROW_LABELED  # oracle: ground-truth labels revealed
+                # a negative position would index from the end of `pool_idx`
+                if pos.min() < 0 or pos.max() >= len(pool_idx):
+                    raise RuntimeError(f"round {r} selected positions outside the pool")
+                selected = pool_idx[pos].tolist()
+                state[selected] = _ROW_LABELED  # oracle: ground-truth labels revealed
 
             lab_idx = np.flatnonzero(state == _ROW_LABELED)
             model = fit(Z[lab_idx], dataset.labels[lab_idx], dataset.k, cfg.fit)

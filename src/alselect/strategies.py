@@ -52,77 +52,51 @@ class StrategyConfig:
             raise ValueError(f"exponent_d must be finite and >= 0, got {self.exponent_d}")
 
 
-@dataclass(frozen=True)
-class PoolScores:
-    """Parallel arrays of pool item ids and their informative scores (nats)."""
-
-    ids: np.ndarray
-    scores: np.ndarray
-
-    def __post_init__(self):
-        ids = np.asarray(self.ids, dtype=np.int64)
-        scores = np.asarray(self.scores, dtype=np.float64)
-        if ids.shape != scores.shape or ids.ndim != 1:
-            raise ValueError(f"ids {ids.shape} and scores {scores.shape} must be parallel 1-D")
-        if len(np.unique(ids)) != len(ids):
-            raise ValueError("pool ids must be distinct")
-        if not ((scores > 0.0).all() and np.isfinite(scores).all()):
-            raise ValueError("scores must be positive and finite (smoothing floor)")
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "scores", scores)
-
-    def __len__(self):
-        return len(self.ids)
-
-
-def score_pool(model: ModelParams, pool_features, cfg: StrategyConfig,
-               ids=None) -> PoolScores:
-    """Smoothed predictive entropy for every pool item, one pass.
+def score_pool(model: ModelParams, pool_features, cfg: StrategyConfig) -> np.ndarray:
+    """Smoothed predictive entropy (nats) for every pool row, one pass.
 
     For each row: r = softmax(Wx), v = (1-chi)r + chi/k, u = H(v).
-    `ids` defaults to the row positions 0..n-1.
     """
     P = predict_proba_matrix(model, pool_features)
     k = P.shape[1]
     V = (1.0 - cfg.chi) * P + cfg.chi / k
-    u = -(V * np.log(V)).sum(axis=1)
-    if ids is None:
-        ids = np.arange(P.shape[0], dtype=np.int64)
-    return PoolScores(ids=ids, scores=u)
+    return -(V * np.log(V)).sum(axis=1)
 
 
-def _greedy_order(scores: PoolScores) -> np.ndarray:
-    # descending score, ties toward the smaller id
-    return np.lexsort((scores.ids, -scores.scores))
-
-
-def select_batch(cfg: StrategyConfig, scores: PoolScores, b: int,
+def select_batch(cfg: StrategyConfig, scores: np.ndarray, b: int,
                  rng: RngState) -> set[int]:
-    """B distinct ids from the pool under the configured strategy."""
+    """B distinct positions into `scores` under the configured strategy.
+
+    Greedy ranks by descending score, ties toward the smaller position.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1 or not ((scores > 0.0).all() and np.isfinite(scores).all()):
+        raise ValueError("scores must be positive and finite (smoothing floor)")
     if b < 1:
         raise ValueError(f"B must be >= 1, got {b}")
     if len(scores) < b:
         raise InsufficientItemsError(len(scores), b)
 
     if cfg.kind is StrategyKind.RANDOM:
-        return uniform_sample(scores.ids.tolist(), b, rng)
+        return uniform_sample(range(len(scores)), b, rng)
 
+    if cfg.kind is StrategyKind.WEIGHTED:
+        # exponent keys over u^d, streamed through the reservoir
+        return select_top_k(enumerate((scores ** cfg.exponent_d).tolist()), b, rng)
+
+    # a stable sort on -score: descending score, ties toward the smaller position
+    order = np.argsort(-scores, kind="stable")
     if cfg.kind is StrategyKind.GREEDY:
-        order = _greedy_order(scores)
-        return set(scores.ids[order[:b]].tolist())
+        return set(order[:b].tolist())
 
-    if cfg.kind is StrategyKind.EPS_GREEDY:
-        order = _greedy_order(scores)
-        ranked = scores.ids[order].tolist()
-        chosen: set[int] = set()
-        for _ in range(b):
-            if rng.uniforms_open(1)[0] < cfg.epsilon:
-                j = rng.integers(len(ranked))
-            else:
-                j = 0
-            chosen.add(ranked.pop(j))
-        return chosen
-
-    # WEIGHTED: exponent keys over u^d, streamed through the reservoir
-    weights = scores.scores ** cfg.exponent_d
-    return select_top_k(zip(scores.ids.tolist(), weights.tolist()), b, rng)
+    # EPS_GREEDY: each slot takes the best remaining, or with probability
+    # epsilon a uniform pick among the remaining
+    ranked = order.tolist()
+    chosen: set[int] = set()
+    for _ in range(b):
+        if rng.uniforms_open(1)[0] < cfg.epsilon:
+            j = rng.integers(len(ranked))
+        else:
+            j = 0
+        chosen.add(ranked.pop(j))
+    return chosen

@@ -116,6 +116,19 @@ class TestSynth:
         assert err == "error: beta*n = 0.050 rounds to an empty pocket\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("existing", ["x.csv", "x.csv.pocket.json"])
+    def test_existing_output_is_config_error(self, capsys, tmp_path, monkeypatch, existing):
+        (tmp_path / existing).write_text("keep\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "generate_pocket_dataset",
+                            lambda spec: pytest.fail("generated despite an existing output"))
+        rc, out, err = run_cli(capsys, "synth", "--n", "100", "--d", "4", "--k", "2",
+                               "--beta", "0.1", "--out", str(tmp_path / "x.csv"))
+        assert rc == EXIT_CONFIG
+        assert out == ""
+        assert err == f"error: {tmp_path / existing} already exists; synth never overwrites a file\n"
+        assert [p.name for p in tmp_path.iterdir()] == [existing]
+        assert (tmp_path / existing).read_text(encoding="utf-8") == "keep\n"
+
 
 class TestRun:
     def test_minimal_run(self, capsys, tmp_path):
@@ -216,6 +229,25 @@ class TestRun:
         assert out == ""
         assert err == f"error: out_dir {out_dir} already exists; a run never overwrites a result\n"
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == first
+
+    def test_out_dir_under_a_file_is_config_error(self, capsys, tmp_path, monkeypatch):
+        csv_path = make_synth(capsys, tmp_path)
+        afile = tmp_path / "afile"
+        afile.write_text("", encoding="utf-8")
+        out_dir = afile / "x" / "o"
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args: pytest.fail("ran despite an unusable out_dir"))
+        rc, out, err = run_cli(capsys, "run", str(write_config(tmp_path, csv_path, out_dir)))
+        assert rc == EXIT_CONFIG
+        assert out == ""
+        assert err == f"error: out_dir {out_dir} cannot be created: {afile} is not a directory\n"
+
+    def test_short_row_is_data_error(self, capsys, tmp_path):
+        csv_path = tmp_path / "w.csv"
+        csv_path.write_text("a,b,label\n1.0,2.0,x\n3.0,y\n", encoding="utf-8")
+        rc, _, err = run_cli(capsys, "run", str(write_config(tmp_path, csv_path, tmp_path / "o")))
+        assert rc == EXIT_DATA
+        assert err == f"error: {csv_path}: row 1 has 2 cells, expected 3\n"
 
     def test_out_dir_appearing_during_run_is_runtime_error(self, capsys, tmp_path, monkeypatch):
         csv_path = make_synth(capsys, tmp_path)

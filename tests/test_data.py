@@ -61,8 +61,10 @@ class TestLoadCsv:
 
     def test_row_width_mismatch(self, tmp_path):
         p = write(tmp_path, "f1,f2,y\n1.0,2.0,a\n1.0,b\n")
-        with pytest.raises(NonNumericCellError):
+        with pytest.raises(DataFormatError) as exc:
             load_csv(p, "y")
+        assert str(exc.value) == f"{p}: row 1 has 2 cells, expected 3"
+        assert not isinstance(exc.value, NonNumericCellError)
 
     def test_order_stable(self, tmp_path):
         text = "f1,y\n" + "".join(f"{i}.5,c{i % 3}\n" for i in range(50))

@@ -64,12 +64,11 @@ class TestBiasedInit:
             biased_init(labels, 10, 2, RngState(0))
         assert exc.value.class_index == 1
 
-    def test_ids_mapping(self):
-        labels = np.array([0, 1, 0, 1])
-        ids = np.array([100, 200, 300, 400])
-        chosen = biased_init(labels, 2, 2, RngState(0), ids=ids)
-        assert chosen <= {100, 200, 300, 400}
-        assert len(chosen) == 2
+    def test_positions_meet_quotas(self):
+        labels = np.random.default_rng(1).integers(0, 3, size=50)
+        chosen = biased_init(labels, 10, 3, RngState(0))
+        assert chosen <= set(range(50))
+        assert np.bincount(labels[sorted(chosen)], minlength=3).tolist() == [4, 3, 3]
 
     def test_deterministic(self):
         labels = np.random.default_rng(0).integers(0, 3, size=300)
@@ -155,34 +154,52 @@ class TestRunTrial:
             run_trial(dataset, small_config(), 1)
         assert exc.value.__notes__ == ["in trial 1, round 2"]
 
-    @pytest.mark.parametrize("case", ["holdout", "labeled", "short", "repeat", "id_n",
-                                      "negative"])
+    @pytest.mark.parametrize("case", ["short", "repeat", "id_n", "negative"])
     def test_rejects_bad_selection(self, monkeypatch, case):
-        # round 1 selects as usual; round 2 returns a corrupted batch
+        # round 1 selects as usual; round 2 returns a corrupted batch of positions
         dataset, _ = generate_pocket_dataset(small_spec())
         cfg = small_config(rounds=2, trials=1)
-        hold = holdout_ids(dataset.n, cfg)
         real = harness.select_batch
         batches = []
 
-        def corrupted(*args):
-            batches.append(real(*args))
+        def corrupted(cfg, scores, b, rng):
+            batches.append(real(cfg, scores, b, rng))
             if len(batches) == 1:
                 return batches[0]
-            ids = sorted(batches[-1])
+            pos = sorted(batches[-1])
             return {
-                "holdout": set(ids[1:]) | {min(hold)},
-                "labeled": set(ids[1:]) | {min(batches[0])},
-                "short": set(ids[1:]),
-                "repeat": ids[1:] + [ids[1]],
-                "id_n": set(ids[1:]) | {dataset.n},
-                "negative": set(ids[1:]) | {-1},
+                "short": set(pos[1:]),
+                "repeat": pos[1:] + [pos[1]],
+                "id_n": set(pos[1:]) | {len(scores)},
+                "negative": set(pos[1:]) | {-1},
             }[case]
 
         monkeypatch.setattr(harness, "select_batch", corrupted)
         with pytest.raises(RuntimeError, match="round 2"):
             run_trial(dataset, cfg, 0)
         assert len(batches) == 2
+
+    def test_positions_map_to_rows(self, monkeypatch):
+        # biased_init's positions index the non-holdout rows; a strategy that
+        # takes pool positions 0..b-1 gets the b smallest rows still in the pool
+        dataset, _ = generate_pocket_dataset(small_spec())
+        cfg = small_config(rounds=3, trials=1)
+        real_init = harness.biased_init
+        init = set()
+
+        def recorded_init(*args):
+            init.update(real_init(*args))
+            return init
+
+        monkeypatch.setattr(harness, "biased_init", recorded_init)
+        monkeypatch.setattr(harness, "select_batch", lambda cfg, scores, b, rng: set(range(b)))
+        records = run_trial(dataset, cfg, 0)
+        hold = holdout_ids(dataset.n, cfg)
+        remaining = [row for row in range(dataset.n) if row not in hold]
+        pool = [row for pos, row in enumerate(remaining) if pos not in init]
+        for rec in records[1:]:
+            assert rec.selected_ids == tuple(pool[:cfg.batch])
+            pool = pool[cfg.batch:]
 
 
 class TestRunExperiment:

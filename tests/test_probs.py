@@ -37,7 +37,7 @@ def pool_scores(rows, chi):
         logits = np.maximum(np.log(R), -1e3)
     model = ModelParams(weights=np.hstack([logits.T, np.zeros((k, 1))]), k=k, d=n)
     cfg = StrategyConfig(kind=StrategyKind.WEIGHTED, chi=chi)
-    return score_pool(model, np.eye(n), cfg).scores
+    return score_pool(model, np.eye(n), cfg)
 
 
 def oracle_smooth(r, chi):

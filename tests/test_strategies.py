@@ -10,8 +10,7 @@ from alselect.classifier import FitConfig, ModelParams, fit
 from alselect.errors import InsufficientItemsError
 from alselect.probs import entropy_lower_bound
 from alselect.sampling import RngState
-from alselect.strategies import (PoolScores, StrategyConfig, StrategyKind,
-                                 score_pool, select_batch)
+from alselect.strategies import StrategyConfig, StrategyKind, score_pool, select_batch
 
 
 def oracle_score(W, x, chi):
@@ -23,11 +22,8 @@ def oracle_score(W, x, chi):
     return -sum(p * math.log(p) for p in v)
 
 
-def make_scores(values, ids=None):
-    values = np.asarray(values, dtype=float)
-    if ids is None:
-        ids = np.arange(len(values))
-    return PoolScores(ids=np.asarray(ids), scores=values)
+def make_scores(values):
+    return np.asarray(values, dtype=float)
 
 
 class TestScorePool:
@@ -35,16 +31,16 @@ class TestScorePool:
         k, d = 4, 3
         model = ModelParams(weights=np.zeros((k, d + 1)), k=k, d=d)
         X = np.random.default_rng(0).standard_normal((50, d))
-        ps = score_pool(model, X, StrategyConfig(kind=StrategyKind.GREEDY, chi=0.2))
-        assert np.unique(ps.scores).size == 1  # identical inputs, identical score
-        assert ps.scores[0] == pytest.approx(math.log(k), abs=1e-12)
+        scores = score_pool(model, X, StrategyConfig(kind=StrategyKind.GREEDY, chi=0.2))
+        assert np.unique(scores).size == 1  # identical inputs, identical score
+        assert scores[0] == pytest.approx(math.log(k), abs=1e-12)
 
     def test_saturated_prediction_oracle(self):
         # r ~ [1, 0] then v = [0.95, 0.05]; H(v) = 0.1985152433458726
         model = ModelParams(weights=np.array([[60.0, 0.0], [-60.0, 0.0]]), k=2, d=1)
         X = np.array([[1.0]])
-        ps = score_pool(model, X, StrategyConfig(kind=StrategyKind.GREEDY, chi=0.1))
-        assert ps.scores[0] == pytest.approx(0.1985152433458726, abs=1e-9)
+        scores = score_pool(model, X, StrategyConfig(kind=StrategyKind.GREEDY, chi=0.1))
+        assert scores[0] == pytest.approx(0.1985152433458726, abs=1e-9)
 
     def test_matches_scalar_chain(self):
         rng = np.random.default_rng(1)
@@ -53,41 +49,30 @@ class TestScorePool:
         y = rng.integers(0, k, size=20)
         model = fit(X, y, k, FitConfig(max_iters=50))
         cfg = StrategyConfig(kind=StrategyKind.WEIGHTED, chi=0.07)
-        ps = score_pool(model, X, cfg)
+        scores = score_pool(model, X, cfg)
         for i in range(20):
             u = oracle_score(model.weights.tolist(), X[i].tolist(), 0.07)
-            assert ps.scores[i] == pytest.approx(u, rel=1e-9)
+            assert scores[i] == pytest.approx(u, rel=1e-9)
 
     def test_scores_bounded(self):
         rng = np.random.default_rng(2)
         k, d, chi = 3, 5, 0.2
         model = ModelParams(weights=rng.standard_normal((k, d + 1)) * 3, k=k, d=d)
         X = rng.standard_normal((200, d)) * 4
-        ps = score_pool(model, X, StrategyConfig(kind=StrategyKind.GREEDY, chi=chi))
+        scores = score_pool(model, X, StrategyConfig(kind=StrategyKind.GREEDY, chi=chi))
         floor = entropy_lower_bound(chi / k, k)
-        assert (ps.scores >= max(floor, 0.0) - 1e-12).all()
-        assert (ps.scores <= math.log(k) + 1e-12).all()
-
-    def test_custom_ids(self):
-        model = ModelParams(weights=np.zeros((2, 2)), k=2, d=1)
-        X = np.zeros((3, 1))
-        ids = np.array([10, 20, 30])
-        ps = score_pool(model, X, StrategyConfig(kind=StrategyKind.RANDOM), ids=ids)
-        assert ps.ids.tolist() == [10, 20, 30]
+        assert (scores >= max(floor, 0.0) - 1e-12).all()
+        assert (scores <= math.log(k) + 1e-12).all()
 
 
-class TestPoolScores:
-    def test_rejects_mismatched(self):
-        with pytest.raises(ValueError):
-            PoolScores(ids=np.arange(3), scores=np.ones(2))
-
-    def test_rejects_nonpositive_scores(self):
-        with pytest.raises(ValueError):
-            PoolScores(ids=np.arange(2), scores=np.array([1.0, 0.0]))
-
-    def test_rejects_duplicate_ids(self):
-        with pytest.raises(ValueError):
-            PoolScores(ids=np.array([1, 1]), scores=np.array([1.0, 2.0]))
+class TestSelectBatchScores:
+    # greedy would rank a nan or inf without complaint, so only the check fails these
+    @pytest.mark.parametrize("scores", [[1.0, 0.0], [1.0, -1.0], [1.0, math.nan],
+                                        [1.0, math.inf], [[1.0, 2.0], [3.0, 4.0]]],
+                             ids=["zero", "negative", "nan", "inf", "2d"])
+    def test_rejects_nonpositive_scores(self, scores):
+        with pytest.raises(ValueError, match=r"scores must be positive and finite \(smoothing floor\)"):
+            select_batch(StrategyConfig(kind=StrategyKind.GREEDY), np.array(scores), 1, RngState(0))
 
 
 class TestGreedy:
@@ -100,6 +85,12 @@ class TestGreedy:
     def test_tie_breaks_to_smaller_id(self):
         out = select_batch(self.CFG, make_scores([0.5, 0.5, 0.5]), 2, RngState(0))
         assert out == {0, 1}
+        # 40 positions tie at the top; beyond 16 items numpy's default sort is not stable
+        scores = make_scores(np.tile([1.0, 2.0, 1.5], 40))
+        expected = set(range(1, 90, 3))
+        assert select_batch(self.CFG, scores, 30, RngState(0)) == expected
+        eps0 = StrategyConfig(kind=StrategyKind.EPS_GREEDY, epsilon=0.0)
+        assert select_batch(eps0, scores, 30, RngState(0)) == expected
 
     def test_invariant_under_increasing_transform(self):
         rng = np.random.default_rng(3)
@@ -208,11 +199,10 @@ class TestAllStrategies:
     @pytest.mark.parametrize("kind", list(StrategyKind))
     def test_returns_b_distinct_pool_ids(self, kind):
         cfg = StrategyConfig(kind=kind)
-        ids = np.arange(100, 140)
-        scores = make_scores(np.random.default_rng(6).uniform(0.5, 2.0, 40), ids=ids)
+        scores = make_scores(np.random.default_rng(6).uniform(0.5, 2.0, 40))
         out = select_batch(cfg, scores, 15, RngState(2))
         assert len(out) == 15
-        assert out <= set(ids.tolist())
+        assert out <= set(range(40))
 
     @pytest.mark.parametrize("kind", list(StrategyKind))
     def test_deterministic_per_seed(self, kind):
