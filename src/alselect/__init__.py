@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .classifier import FitConfig, ModelParams, accuracy, fit, predict_proba_matrix
 from .data import (Dataset, StandardizationParams, load_csv, standardize_apply,
                    standardize_fit)
-from .errors import (DataFormatError, EmptyFileError, InfeasibleSpecError,
+from .errors import (ConfigError, DataFormatError, EmptyFileError, InfeasibleSpecError,
                      InsufficientClassInstancesError, InsufficientItemsError,
                      MissingColumnError, NonNumericCellError, VacuousBoundError)
 from .harness import (ExperimentConfig, ExperimentResult, LemmaValidationReport,

@@ -15,7 +15,10 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -24,7 +27,7 @@ import numpy as np
 from . import __version__
 from .classifier import FitConfig
 from .data import load_csv
-from .errors import DataFormatError, VacuousBoundError
+from .errors import ConfigError, DataFormatError, VacuousBoundError
 from .harness import (ExperimentConfig, ExperimentResult, SynthPocketSpec,
                       generate_pocket_dataset, run_experiment)
 from .probs import LemmaBoundInput, lemma_bound
@@ -39,36 +42,16 @@ EXIT_VACUOUS = 5
 
 _STRATEGY_NAMES = {k.value: k for k in StrategyKind}
 
-_RUN_KEYS = {
-    "dataset_path": str,
-    "label_column": str,
-    "strategy": str,
-    "epsilon": float,
-    "chi": float,
-    "exponent_d": float,
-    "n0": int,
-    "rounds": int,
-    "batch": int,
-    "trials": int,
-    "holdout_fraction": float,
-    "l2_reg": float,
-    "max_iters": int,
-    "tol": float,
-    "master_seed": int,
-    "out_dir": str,
-}
 _REQUIRED_KEYS = ("dataset_path", "label_column", "strategy", "out_dir")
+# the required keys, then every numeric config field, parsed by its default's type
+_RUN_KEYS = dict.fromkeys(_REQUIRED_KEYS, str) | {
+    f.name: type(f.default)
+    for cls in (StrategyConfig, FitConfig, ExperimentConfig)
+    for f in dataclasses.fields(cls) if type(f.default) in (int, float)
+}
 # the summary.json keys `report` reads, with their JSON types (bool is not numeric)
 _SUMMARY_TYPES = {"dataset": (str,), "strategy": (str,),
                   "final_accuracy_mean": (int, float), "final_accuracy_std": (int, float)}
-
-
-class ConfigError(ValueError):
-    """A config file, flag or synth spec is invalid (exit 2)."""
-
-
-class DataError(Exception):
-    """An input file cannot be read or is malformed (exit 3)."""
 
 
 def parse_config(path) -> dict:
@@ -136,25 +119,22 @@ def _sha256(path) -> str:
 def _record_line(rec) -> str:
     # elapsed_ms is wall-clock and would break byte-identical reruns; it is
     # reported in the manifest timing section instead
-    return json.dumps({
-        "trial": rec.trial,
-        "round": rec.round,
-        "selected_ids": list(rec.selected_ids),
-        "labeled_count": rec.labeled_count,
-        "holdout_accuracy": rec.holdout_accuracy,
-    }, sort_keys=True)
+    line = dataclasses.asdict(rec)
+    del line["elapsed_ms"]
+    return json.dumps(line, sort_keys=True)
+
+
+def _write_json(path: Path, obj, sort_keys: bool = True) -> None:
+    with open(path, "x", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
 
 
 def write_run_outputs(out_dir: Path, values: dict, cfg: ExperimentConfig,
                       result: ExperimentResult, dataset_checksum: str,
                       label_names: tuple[str, ...]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=False)
-    with open(out_dir / "labels.json", "w", encoding="utf-8") as fh:
-        json.dump({name: i for i, name in enumerate(label_names)}, fh, indent=2)
-        fh.write("\n")
-    with open(out_dir / "records.jsonl", "w", encoding="utf-8") as fh:
-        for rec in result.records:
-            fh.write(_record_line(rec) + "\n")
+    """Write the four run files into a sibling temp directory, then rename it
+    onto `out_dir`, so `out_dir` ends up holding all four or not existing."""
     summary = {
         "dataset": Path(values["dataset_path"]).name,
         "strategy": values["strategy"],
@@ -166,9 +146,6 @@ def write_run_outputs(out_dir: Path, values: dict, cfg: ExperimentConfig,
         "final_accuracy_std": result.final_accuracy_std,
         "single_trial": cfg.trials == 1,
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     manifest = {
         "artifact_version": __version__,
         "numpy_version": np.__version__,
@@ -178,9 +155,23 @@ def write_run_outputs(out_dir: Path, values: dict, cfg: ExperimentConfig,
         "created_unix": time.time(),
         "elapsed_ms_per_record": [rec.elapsed_ms for rec in result.records],
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # claim out_dir first: a rename onto an empty directory would silently
+    # replace one that appeared during the run
+    out_dir.mkdir(parents=True, exist_ok=False)
+    tmp = Path(tempfile.mkdtemp(dir=out_dir.parent, prefix=f".{out_dir.name}."))
+    try:
+        _write_json(tmp / "labels.json", {name: i for i, name in enumerate(label_names)},
+                    sort_keys=False)
+        with open(tmp / "records.jsonl", "x", encoding="utf-8") as fh:
+            fh.writelines(_record_line(rec) + "\n" for rec in result.records)
+        _write_json(tmp / "summary.json", summary)
+        _write_json(tmp / "manifest.json", manifest)
+        shutil.copymode(out_dir, tmp)  # mkdtemp makes it 0o700; keep mkdir's umask mode
+        os.replace(tmp, out_dir)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        out_dir.rmdir()
+        raise
 
 
 def cmd_run(args) -> int:
@@ -192,11 +183,8 @@ def cmd_run(args) -> int:
     ancestor = next(a for a in out_dir.parents if a.exists())
     if not ancestor.is_dir():
         raise ConfigError(f"out_dir {out_dir} cannot be created: {ancestor} is not a directory")
-    try:
-        dataset = load_csv(values["dataset_path"], values["label_column"])
-        checksum = _sha256(values["dataset_path"])
-    except (DataFormatError, OSError) as exc:
-        raise DataError(str(exc)) from exc
+    dataset = load_csv(values["dataset_path"], values["label_column"])
+    checksum = _sha256(values["dataset_path"])
     result = run_experiment(dataset, cfg)
     write_run_outputs(out_dir, values, cfg, result, checksum, dataset.label_names)
     print(f"wrote {len(result.records)} records to {values['out_dir']}; "
@@ -229,11 +217,12 @@ def cmd_synth(args) -> int:
     for path in (out, sidecar):
         if path.exists():
             raise ConfigError(f"{path} already exists; synth never overwrites a file")
+    train_prevalence = _parse_prevalence(args.train_prevalence, args.k, "--train-prevalence")
+    pool_prevalence = _parse_prevalence(args.pool_prevalence, args.k, "--pool-prevalence")
     try:
         spec = SynthPocketSpec(
             n=args.n, d=args.d, k=args.k, beta=args.beta,
-            train_prevalence=tuple(_parse_prevalence(args.train_prevalence, args.k)),
-            pool_prevalence=tuple(_parse_prevalence(args.pool_prevalence, args.k)),
+            train_prevalence=train_prevalence, pool_prevalence=pool_prevalence,
             pocket_class=args.pocket_class, separation=args.separation,
             seed=args.seed, pocket_decoy=args.decoy,
             pocket_offset=args.pocket_offset,
@@ -248,27 +237,29 @@ def cmd_synth(args) -> int:
         for i in range(dataset.n):
             feats = ",".join(repr(float(v)) for v in dataset.features[i])
             fh.write(f"{feats},{dataset.label_names[dataset.labels[i]]}\n")
-    with open(sidecar, "x", encoding="utf-8") as fh:
-        json.dump({"pocket_ids": sorted(pocket_ids),
-                   "beta": spec.beta, "n": spec.n}, fh, indent=2)
-        fh.write("\n")
+    _write_json(sidecar, {"pocket_ids": sorted(pocket_ids), "beta": spec.beta, "n": spec.n},
+                sort_keys=False)
     print(f"wrote {dataset.n} rows to {out} ({len(pocket_ids)} pocket ids in sidecar)")
     return EXIT_OK
 
 
-def _parse_prevalence(text: str, k: int) -> list[float]:
+def _parse_prevalence(text: str, k: int, flag: str) -> tuple[float, ...]:
     if text == "uniform":
-        return [1.0 / k] * k
-    return [float(x) for x in text.split(",")]
+        return (1.0 / k,) * k
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated numbers or 'uniform', "
+                          f"got {text!r}") from None
 
 
 def cmd_report(args) -> int:
     results_dir = Path(args.results_dir)
     if not results_dir.is_dir():
-        raise DataError(f"results dir not found: {results_dir}")
+        raise DataFormatError(f"results dir not found: {results_dir}")
     summaries = sorted(results_dir.glob("**/summary.json"))
     if not summaries:
-        raise DataError(f"no summary.json files under {results_dir}")
+        raise DataFormatError(f"no summary.json files under {results_dir}")
     cells: dict[tuple[str, str], str] = {}
     sources: dict[tuple[str, str], Path] = {}
     datasets: list[str] = []
@@ -277,16 +268,17 @@ def cmd_report(args) -> int:
         try:
             s = json.loads(p.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
-            raise DataError(f"malformed summary {p}: {exc}") from None
+            raise DataFormatError(f"malformed summary {p}: {exc}") from None
         if not isinstance(s, dict) or any(type(s.get(k)) not in t
                                           for k, t in _SUMMARY_TYPES.items()):
-            raise DataError(f"malformed summary {p}: expected an object with string dataset and "
-                            "strategy and numeric final_accuracy_mean and final_accuracy_std")
+            raise DataFormatError(f"malformed summary {p}: expected an object with string "
+                                  "dataset and strategy and numeric final_accuracy_mean and "
+                                  "final_accuracy_std")
         ds, strat = s["dataset"], s["strategy"]
         mean, std = s["final_accuracy_mean"], s["final_accuracy_std"]
         if (ds, strat) in sources:
-            raise DataError(f"duplicate summary for dataset {ds!r}, strategy {strat!r}: "
-                            f"{sources[(ds, strat)]} and {p}")
+            raise DataFormatError(f"duplicate summary for dataset {ds!r}, strategy {strat!r}: "
+                                  f"{sources[(ds, strat)]} and {p}")
         sources[(ds, strat)] = p
         cells[(ds, strat)] = f"{100 * mean:.2f} ± {100 * std:.2f}"
         if ds not in datasets:
@@ -333,9 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--beta", type=float, required=True)
     p_synth.add_argument("--separation", type=float, default=6.0)
     p_synth.add_argument("--pocket-class", type=int, default=0)
-    p_synth.add_argument("--decoy", type=int, default=None)
-    p_synth.add_argument("--pocket-offset", type=float, default=3.25)
-    p_synth.add_argument("--overlap-fraction", type=float, default=0.0)
+    p_synth.add_argument("--decoy", type=int, default=SynthPocketSpec.pocket_decoy)
+    p_synth.add_argument("--pocket-offset", type=float, default=SynthPocketSpec.pocket_offset)
+    p_synth.add_argument("--overlap-fraction", type=float,
+                         default=SynthPocketSpec.overlap_fraction)
     p_synth.add_argument("--train-prevalence", default="uniform",
                          help="comma-separated class weights or 'uniform'")
     p_synth.add_argument("--pool-prevalence", default="uniform",
@@ -366,7 +359,7 @@ def main(argv=None) -> int:
             print(f"  {note}", file=sys.stderr)
         if isinstance(exc, ConfigError):
             return EXIT_CONFIG
-        if isinstance(exc, DataError):
+        if isinstance(exc, DataFormatError):
             return EXIT_DATA
         return EXIT_RUNTIME
 

@@ -99,6 +99,8 @@ def load_csv(path, label_column: str) -> Dataset:
                 raw_labels.append(row[label_idx])
     except UnicodeDecodeError:
         raise DataFormatError(f"{path}: file is not UTF-8 text") from None
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read file: {exc.strerror or exc}") from None
 
     if not rows:
         raise EmptyFileError(path)

@@ -1,6 +1,11 @@
 """Exception types shared across the package."""
 
 
+class ConfigError(ValueError):
+    """A config file, flag or synth spec is invalid, or a run config cannot
+    be carried out on its dataset (exit 2 at the CLI)."""
+
+
 class VacuousBoundError(ValueError):
     """The closed-form hitting bound gives no guarantee (p_s <= 0).
 
@@ -27,7 +32,7 @@ class InsufficientItemsError(ValueError):
         super().__init__(f"requested {requested} items but only {available} available")
 
 
-class InsufficientClassInstancesError(ValueError):
+class InsufficientClassInstancesError(ConfigError):
     """A class has fewer instances than its initial-labeling quota."""
 
     def __init__(self, class_index, available, required):
@@ -36,7 +41,7 @@ class InsufficientClassInstancesError(ValueError):
         self.required = required
         super().__init__(
             f"class {class_index} has {available} instances, "
-            f"needs {required} for the initial labeled set"
+            f"needs {required} for the initial labeled set; lower n0"
         )
 
 
@@ -45,7 +50,7 @@ class InfeasibleSpecError(ValueError):
 
 
 class DataFormatError(ValueError):
-    """Base for CSV ingestion failures; carries location info."""
+    """An input file cannot be read or is malformed (exit 3 at the CLI)."""
 
 
 class EmptyFileError(DataFormatError):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .classifier import FitConfig, accuracy, fit
 from .data import Dataset, standardize_apply, standardize_fit
-from .errors import InfeasibleSpecError, InsufficientClassInstancesError
+from .errors import ConfigError, InfeasibleSpecError, InsufficientClassInstancesError
 from .probs import LemmaBoundInput, LemmaBoundReport, lemma_bound
 from .sampling import RngState, select_top_k, uniform_sample
 from .strategies import StrategyConfig, score_pool, select_batch
@@ -105,11 +105,12 @@ def biased_init(labels: Sequence[int], n0: int, k: int, rng: RngState) -> set[in
 
 
 def holdout_ids(n: int, cfg: ExperimentConfig) -> set[int]:
-    """The holdout split for a dataset of n rows: derived from the master
-    seed only, so every trial and every strategy shares it."""
+    """The holdout split for a dataset of n rows, never empty: derived from
+    the master seed only, so every trial and every strategy shares it."""
     size = int(cfg.holdout_fraction * n)
     if size == 0:
-        return set()
+        raise ConfigError(f"holdout_fraction = {cfg.holdout_fraction} leaves no holdout "
+                          f"rows in a dataset of {n} rows")
     return uniform_sample(range(n), size, RngState(cfg.master_seed).derive(_HOLDOUT))
 
 
@@ -137,11 +138,8 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
     hold_idx = np.flatnonzero(state == _ROW_HOLDOUT)
     remaining = np.flatnonzero(state == _ROW_POOL)
 
-    if len(hold_idx) == 0:
-        raise ValueError(f"holdout_fraction = {cfg.holdout_fraction} leaves no holdout "
-                         f"rows in a dataset of {n} rows")
     if cfg.n0 + cfg.rounds * cfg.batch > len(remaining):
-        raise ValueError(
+        raise ConfigError(
             f"n0 + rounds*batch = {cfg.n0 + cfg.rounds * cfg.batch} exceeds "
             f"the {len(remaining)} ids left after the holdout split"
         )

@@ -151,7 +151,7 @@ def _write_det_config(tmp_path, csv_path, out_dir):
     cfg = tmp_path / f"{out_dir.name}.cfg"
     cfg.write_text(
         f"dataset_path={csv_path}\nlabel_column=label\nstrategy=weighted\n"
-        f"chi=0.1\nn0=60\nrounds=5\nbatch=20\ntrials=2\nmax_iters=150\n"
+        f"chi=0.1\nn0=60\nrounds=5\nbatch=20\ntrials=2\n"
         f"master_seed=17\nout_dir={out_dir}\n",
         encoding="utf-8",
     )
@@ -195,7 +195,6 @@ def test_criterion_7_split_and_selection_invariants(capsys):
     dataset, _ = generate_pocket_dataset(spec)
     cfg = ExperimentConfig(
         strategy=StrategyConfig(kind=StrategyKind.WEIGHTED, chi=0.1),
-        fit=FitConfig(max_iters=200),
         n0=100, rounds=30, batch=30, trials=1,
         holdout_fraction=0.25, master_seed=71,
     )

@@ -27,11 +27,11 @@ def run_cli(capsys, *argv):
     return rc, captured.out, captured.err
 
 
-def make_synth(capsys, tmp_path, name="synth.csv", n=600, seed=3):
+def make_synth(capsys, tmp_path, name="synth.csv", n=600, seed=3, prevalence="0.4,0.35,0.25"):
     out = tmp_path / name
     rc, _, err = run_cli(
         capsys, "synth", "--n", str(n), "--d", "4", "--k", "3",
-        "--beta", "0.05", "--pool-prevalence", "0.4,0.35,0.25",
+        "--beta", "0.05", "--pool-prevalence", prevalence,
         "--seed", str(seed), "--out", str(out),
     )
     assert rc == EXIT_OK, err
@@ -48,7 +48,6 @@ def write_config(tmp_path, csv_path, out_dir, **overrides):
         "rounds": "3",
         "batch": "10",
         "trials": "2",
-        "max_iters": "60",
         "master_seed": "5",
         "out_dir": str(out_dir),
     }
@@ -116,6 +115,14 @@ class TestSynth:
         assert err == "error: beta*n = 0.050 rounds to an empty pocket\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--pool-prevalence", "--train-prevalence"])
+    def test_non_numeric_prevalence_names_flag(self, capsys, tmp_path, flag):
+        rc, _, err = run_cli(capsys, "synth", "--n", "100", "--d", "4", "--k", "3",
+                             "--beta", "0.1", flag, "a,b,c", "--out", str(tmp_path / "x.csv"))
+        assert rc == EXIT_CONFIG
+        assert err == f"error: {flag} must be comma-separated numbers or 'uniform', got 'a,b,c'\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("existing", ["x.csv", "x.csv.pocket.json"])
     def test_existing_output_is_config_error(self, capsys, tmp_path, monkeypatch, existing):
         (tmp_path / existing).write_text("keep\n", encoding="utf-8")
@@ -145,6 +152,9 @@ class TestRun:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["rng_algorithm"]
         assert manifest["dataset_sha256"]
+        # no temp directory is left beside out_dir, which gets mkdir's usual mode
+        assert list(out_dir.parent.iterdir()) == [out_dir]
+        assert out_dir.stat().st_mode == out_dir.parent.stat().st_mode
 
     def test_unknown_strategy_names_key(self, capsys, tmp_path):
         csv_path = make_synth(capsys, tmp_path)
@@ -160,10 +170,37 @@ class TestRun:
         assert rc == EXIT_CONFIG
         assert "nonsense_key" in err
 
+    @pytest.mark.parametrize("key", ["learning_rate", "max_iters"])
+    def test_former_solver_key_is_unknown(self, capsys, tmp_path, key):
+        cfg = write_config(tmp_path, tmp_path / "d.csv", tmp_path / "o", **{key: 500})
+        rc, _, err = run_cli(capsys, "run", str(cfg))
+        assert rc == EXIT_CONFIG
+        assert f"unknown key {key!r}" in err
+
+    @pytest.mark.parametrize("prevalence, overrides, message", [
+        ("0.4,0.35,0.25", {"rounds": 100},
+         "n0 + rounds*batch = 1030 exceeds the 450 ids left after the holdout split"),
+        ("0.4,0.35,0.25", {"holdout_fraction": 0.001},
+         "holdout_fraction = 0.001 leaves no holdout rows in a dataset of 600 rows"),
+        ("0.49,0.49,0.02", {"n0": 60}, "needs 20 for the initial labeled set; lower n0"),
+    ], ids=["budget", "empty_holdout", "class_quota"])
+    def test_infeasible_run_is_config_error(self, capsys, tmp_path, prevalence, overrides,
+                                            message):
+        csv_path = make_synth(capsys, tmp_path, prevalence=prevalence)
+        out_dir = tmp_path / "o"
+        rc, out, err = run_cli(capsys, "run",
+                               str(write_config(tmp_path, csv_path, out_dir, **overrides)))
+        assert rc == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_missing_dataset_is_data_error(self, capsys, tmp_path):
         cfg = write_config(tmp_path, tmp_path / "nope.csv", tmp_path / "o")
         rc, _, err = run_cli(capsys, "run", str(cfg))
         assert rc == EXIT_DATA
+        assert err == f"error: {tmp_path / 'nope.csv'}: cannot read file: No such file or directory\n"
         assert not (tmp_path / "o").exists()
 
     def test_writes_label_mapping(self, capsys, tmp_path):
@@ -265,6 +302,24 @@ class TestRun:
         assert err.startswith("error: ") and str(out_dir) in err
         assert list(out_dir.iterdir()) == []
 
+    def test_failed_write_leaves_no_out_dir(self, capsys, tmp_path, monkeypatch):
+        csv_path = make_synth(capsys, tmp_path)
+        out_dir = tmp_path / "results" / "o"
+        real = cli._write_json
+
+        def fail_after_records(path, obj, **kwargs):
+            if path.name == "summary.json":
+                assert (path.parent / "records.jsonl").is_file()
+                raise OSError("disk full")
+            real(path, obj, **kwargs)
+
+        monkeypatch.setattr(cli, "_write_json", fail_after_records)
+        rc, out, err = run_cli(capsys, "run", str(write_config(tmp_path, csv_path, out_dir)))
+        assert rc == EXIT_RUNTIME
+        assert out == ""
+        assert err == "error: disk full\n"
+        assert list(out_dir.parent.iterdir()) == []
+
     def test_rerun_byte_identical_records(self, capsys, tmp_path):
         csv_path = make_synth(capsys, tmp_path)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -316,7 +371,7 @@ class TestConfigParsing:
     def test_every_optional_key_sets_its_field(self):
         optional = {"epsilon": 0.5, "chi": 0.5, "exponent_d": 2.0, "n0": 7, "rounds": 3,
                     "batch": 4, "trials": 2, "holdout_fraction": 0.5, "l2_reg": 0.5,
-                    "max_iters": 9, "tol": 0.5, "master_seed": 8}
+                    "tol": 0.5, "master_seed": 8}
         assert optional.keys() == _RUN_KEYS.keys() - set(_REQUIRED_KEYS)
         cfg = build_experiment_config({"strategy": "weighted", **optional})
         fields = {**dataclasses.asdict(cfg), **dataclasses.asdict(cfg.strategy),
@@ -330,6 +385,8 @@ class TestConfigParsing:
         values = parse_config(p)
         assert len(values) == sum(
             1 for line in block.splitlines() if line.strip() and not line.startswith("#"))
+        # every key is documented: a new numeric config field is a key on its own
+        assert values.keys() == _RUN_KEYS.keys()
         cfg = build_experiment_config(values)
         assert cfg.strategy.kind is StrategyKind.WEIGHTED
         assert (cfg.strategy.epsilon, cfg.strategy.chi, cfg.n0, cfg.master_seed) == (0.05, 0.25, 100, 99)

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from alselect.classifier import FitConfig, accuracy, fit
+from alselect.classifier import accuracy, fit
 from alselect.data import standardize_apply, standardize_fit
-from alselect.errors import (InfeasibleSpecError,
+from alselect.errors import (ConfigError, InfeasibleSpecError,
                              InsufficientClassInstancesError,
                              VacuousBoundError)
 from alselect import harness
@@ -17,8 +17,6 @@ from alselect.harness import (ExperimentConfig, SynthPocketSpec, biased_init,
                               run_experiment, run_trial, validate_lemma)
 from alselect.sampling import RngState
 from alselect.strategies import StrategyConfig, StrategyKind
-
-FAST_FIT = FitConfig(max_iters=60)
 
 
 def small_spec(**overrides):
@@ -35,7 +33,7 @@ def small_spec(**overrides):
 def small_config(kind=StrategyKind.RANDOM, **overrides):
     base = dict(
         strategy=StrategyConfig(kind=kind, chi=0.1),
-        fit=FAST_FIT, n0=30, rounds=4, batch=10, trials=2,
+        n0=30, rounds=4, batch=10, trials=2,
         holdout_fraction=0.25, master_seed=11,
     )
     base.update(overrides)
@@ -63,6 +61,7 @@ class TestBiasedInit:
         with pytest.raises(InsufficientClassInstancesError) as exc:
             biased_init(labels, 10, 2, RngState(0))
         assert exc.value.class_index == 1
+        assert isinstance(exc.value, ConfigError) and "n0" in str(exc.value)
 
     def test_positions_meet_quotas(self):
         labels = np.random.default_rng(1).integers(0, 3, size=50)
@@ -126,14 +125,14 @@ class TestRunTrial:
     def test_infeasible_config(self):
         dataset, _ = generate_pocket_dataset(small_spec())
         cfg = small_config(rounds=100, batch=50)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="n0 \\+ rounds\\*batch"):
             run_trial(dataset, cfg, 0)
 
     def test_empty_holdout_rejected_before_any_fit(self, monkeypatch):
         dataset, _ = generate_pocket_dataset(small_spec(n=600))
         fits = []
         monkeypatch.setattr(harness, "fit", lambda *args: fits.append(args))
-        with pytest.raises(ValueError, match="holdout_fraction") as exc:
+        with pytest.raises(ConfigError, match="holdout_fraction") as exc:
             run_trial(dataset, small_config(holdout_fraction=0.001), 0)
         assert fits == []
         assert not getattr(exc.value, "__notes__", [])
@@ -291,7 +290,7 @@ class TestGeneratePocketDataset:
         mask[pocket_idx] = False
         std = standardize_fit(dataset.features[mask])
         Z = standardize_apply(std, dataset.features)
-        model = fit(Z[mask], dataset.labels[mask], dataset.k, FitConfig(max_iters=300))
+        model = fit(Z[mask], dataset.labels[mask], dataset.k)
         pocket_acc = accuracy(model, Z[pocket_idx], dataset.labels[pocket_idx])
         assert 1.0 - pocket_acc >= 0.9
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from alselect.classifier import FitConfig, ModelParams, fit
+from alselect.classifier import ModelParams, fit
 from alselect.errors import InsufficientItemsError
 from alselect.probs import entropy_lower_bound
 from alselect.sampling import RngState
@@ -47,7 +47,7 @@ class TestScorePool:
         d, k = 4, 3
         X = rng.standard_normal((20, d))
         y = rng.integers(0, k, size=20)
-        model = fit(X, y, k, FitConfig(max_iters=50))
+        model = fit(X, y, k)
         cfg = StrategyConfig(kind=StrategyKind.WEIGHTED, chi=0.07)
         scores = score_pool(model, X, cfg)
         for i in range(20):
