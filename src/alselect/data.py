@@ -1,8 +1,13 @@
 """Dataset ingestion and standardization.
 
 CSV dialect is deliberately rigid for bit-deterministic parsing: comma
-separated, UTF-8, '.' decimal, mandatory header. Labels may be arbitrary
-strings; they are mapped to dense integers by first appearance.
+separated, UTF-8, mandatory header. Records and quoting follow the `csv`
+module's defaults: a `"`-quoted cell may hold commas, newlines and `""`
+for a quote. Feature cells take Python `float` syntax and must be finite.
+A blank line, a row with the wrong number of cells and a non-finite or
+non-numeric cell are refused, naming the row (and, for a cell, the
+column). Labels may be arbitrary strings; they are mapped to dense
+integers by first appearance.
 """
 
 from __future__ import annotations
@@ -62,6 +67,14 @@ def load_csv(path, label_column: str) -> Dataset:
     Labels become integers 0..k-1 in order of first appearance, so label i
     is `label_names[i]`, and there must be at least two. The file must be
     UTF-8 and feature cells must parse as finite floats.
+
+    `csv.reader` alone decides what a record is. When every record has the
+    header's width, one `np.loadtxt` call parses the feature cells in C,
+    starting at the first physical line after the header; its result is
+    kept only if it has as many rows as `csv.reader` found and is all
+    finite. Otherwise (a ragged row, a cell numpy refuses but `float`
+    takes, such as `1_000`, or a bad cell) `_parse_records` parses the
+    file cell by cell and raises the first fault in file order.
     """
     path = Path(path)
     try:
@@ -77,33 +90,37 @@ def load_csv(path, label_column: str) -> Dataset:
                 raise MissingColumnError(path, label_column)
             label_idx = header.index(label_column)
             feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+            header_lines = reader.line_num  # a quoted header cell may span lines
 
-            rows: list[list[float]] = []
             raw_labels: list[str] = []
-            for rownum, row in enumerate(reader):
+            ragged = False
+            for row in reader:
                 if len(row) != len(header):
-                    raise DataFormatError(f"{path}: row {rownum} has {len(row)} cells, "
-                                          f"expected {len(header)}")
-                vals = []
-                for i, cell in enumerate(row):
-                    if i == label_idx:
-                        continue
-                    try:
-                        v = float(cell)
-                    except ValueError:
-                        raise NonNumericCellError(path, rownum, header[i], cell) from None
-                    if not math.isfinite(v):
-                        raise NonNumericCellError(path, rownum, header[i], cell)
-                    vals.append(v)
-                rows.append(vals)
+                    ragged = True  # reported by _parse_records, after any earlier bad cell
+                    break
                 raw_labels.append(row[label_idx])
+            if not raw_labels and not ragged:
+                raise EmptyFileError(path)
+
+            features = None
+            if not ragged:
+                fh.seek(0)
+                try:
+                    features = np.loadtxt(
+                        fh, delimiter=",", quotechar='"', comments=None,
+                        skiprows=header_lines,
+                        usecols=[i for i in range(len(header)) if i != label_idx],
+                        ndmin=2, dtype=np.float64)
+                except ValueError:
+                    pass  # a cell numpy refuses; _parse_records decides whether float() takes it
+            if (features is None or features.shape[0] != len(raw_labels)
+                    or not np.isfinite(features).all()):
+                fh.seek(0)
+                features, raw_labels = _parse_records(path, csv.reader(fh), label_idx)
     except UnicodeDecodeError:
         raise DataFormatError(f"{path}: file is not UTF-8 text") from None
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot read file: {exc.strerror or exc}") from None
-
-    if not rows:
-        raise EmptyFileError(path)
 
     mapping: dict[str, int] = {}
     for s in raw_labels:
@@ -115,12 +132,42 @@ def load_csv(path, label_column: str) -> Dataset:
 
     label_names = tuple(sorted(mapping, key=mapping.get))
     return Dataset(
-        features=np.asarray(rows, dtype=np.float64),
+        features=features,
         labels=labels,
         k=len(mapping),
         feature_names=feature_names,
         label_names=label_names,
     )
+
+
+def _parse_records(path, reader, label_idx: int) -> tuple[np.ndarray, list[str]]:
+    """Parse every record after the header with Python `float`, cell by cell.
+
+    Raises the first fault in file order: a row whose width differs from
+    the header's, or a feature cell that is not a finite float (naming its
+    row and column). Returns the features and the raw label strings.
+    """
+    header = next(reader)
+    rows: list[list[float]] = []
+    raw_labels: list[str] = []
+    for rownum, row in enumerate(reader):
+        if len(row) != len(header):
+            raise DataFormatError(f"{path}: row {rownum} has {len(row)} cells, "
+                                  f"expected {len(header)}")
+        vals = []
+        for i, cell in enumerate(row):
+            if i == label_idx:
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                raise NonNumericCellError(path, rownum, header[i], cell) from None
+            if not math.isfinite(v):
+                raise NonNumericCellError(path, rownum, header[i], cell)
+            vals.append(v)
+        rows.append(vals)
+        raw_labels.append(row[label_idx])
+    return np.asarray(rows, dtype=np.float64), raw_labels
 
 
 @dataclass(frozen=True)

@@ -379,8 +379,10 @@ def validate_lemma(spec: SynthPocketSpec, chi: float, delta: float,
     the entropy floor zeta, everything else ln k (the maximum), isolating
     the sampling claim from classifier behavior. Each repeat draws the
     bound's n_s items in one streaming pass and counts whether any pocket
-    item was hit. With `equal_weights` the pocket carries ln k too, which
-    has the closed-form hit rate 1 - (1-beta)^n_s for independent draws.
+    item was hit. With `equal_weights` the pocket carries ln k too, so the
+    n_s items are a uniform draw without replacement and the exact hit rate
+    is 1 - C(n-m, n_s)/C(n, n_s) for an m-item pocket (1 - (1-beta)^n_s
+    only approximates it, as if the draws were independent).
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")

@@ -1,8 +1,17 @@
 """CSV ingestion and standardization tests."""
 
+import csv
+import math
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import alselect.data
 from alselect.data import (Dataset, StandardizationParams, load_csv,
                            standardize_apply, standardize_fit)
 from alselect.errors import (DataFormatError, EmptyFileError,
@@ -11,8 +20,133 @@ from alselect.errors import (DataFormatError, EmptyFileError,
 
 def write(tmp_path, text, name="data.csv"):
     p = tmp_path / name
-    p.write_text(text, encoding="utf-8")
+    p.write_bytes(text.encode("utf-8"))  # keeps \r and \r\n as written
     return p
+
+
+def reference_load_csv(path, label_column):
+    """The per-cell loader `load_csv` must agree with: `csv.reader` records,
+    Python `float` on every feature cell, the first fault in file order."""
+    path = Path(path)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise EmptyFileError(path) from None
+            if not header or header == [""]:
+                raise EmptyFileError(path)
+            if label_column not in header:
+                raise MissingColumnError(path, label_column)
+            label_idx = header.index(label_column)
+            feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
+
+            rows = []
+            raw_labels = []
+            for rownum, row in enumerate(reader):
+                if len(row) != len(header):
+                    raise DataFormatError(f"{path}: row {rownum} has {len(row)} cells, "
+                                          f"expected {len(header)}")
+                vals = []
+                for i, cell in enumerate(row):
+                    if i == label_idx:
+                        continue
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        raise NonNumericCellError(path, rownum, header[i], cell) from None
+                    if not math.isfinite(v):
+                        raise NonNumericCellError(path, rownum, header[i], cell)
+                    vals.append(v)
+                rows.append(vals)
+                raw_labels.append(row[label_idx])
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: file is not UTF-8 text") from None
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read file: {exc.strerror or exc}") from None
+
+    if not rows:
+        raise EmptyFileError(path)
+
+    mapping = {}
+    for s in raw_labels:
+        if s not in mapping:
+            mapping[s] = len(mapping)
+    if len(mapping) < 2:
+        raise DataFormatError(f"{path}: label column {label_column!r} has one distinct value")
+    labels = np.array([mapping[s] for s in raw_labels], dtype=np.int64)
+    return Dataset(
+        features=np.asarray(rows, dtype=np.float64),
+        labels=labels,
+        k=len(mapping),
+        feature_names=feature_names,
+        label_names=tuple(sorted(mapping, key=mapping.get)),
+    )
+
+
+def outcome(load, path):
+    """What a loader returned, or which error it raised with which message."""
+    try:
+        ds = load(path, "y")
+    except Exception as exc:  # the type itself is compared
+        return (type(exc), str(exc), getattr(exc, "row", None),
+                getattr(exc, "col", None), getattr(exc, "value", None))
+    return (ds.features.shape, ds.features.tobytes(), ds.labels.tobytes(),
+            ds.feature_names, ds.label_names)
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["+.5", "7.", "-2E-3", " 3 ", "\t4", "\u00a01", "1e-320"]),
+)
+ODD_CELLS = st.sampled_from(["", "nan", "-inf", "Infinity", "1e400", "1_000", "\u0661",
+                             "abc", "0x10", "1 2", "1e", "--1", '"1"2', '1"', "1\x00"])
+FEATURE_CELLS = st.integers(0, 9).flatmap(lambda i: ODD_CELLS if i == 0 else NUMBERS)
+LABELS = st.text(alphabet='ab,"\n\r \t', max_size=4)
+NAMES = st.text(alphabet='xy,"\n\r ', max_size=3)
+EOLS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text for the loader to agree on with the reference, well-formed or not.
+
+    A cell is quoted with doubled quotes, or quoted only when it must be.
+    One file in three is misshapen: a cell may also be written as is (so a
+    comma, quote or newline in it reshapes the record), rows may be one cell
+    short or long, and blank or whitespace-only lines may follow any line.
+    """
+    misshapen = draw(st.sampled_from([False, False, True]))
+
+    def encode(cell):
+        how = draw(st.sampled_from(["quoted", "minimal", "minimal"] + ["raw"] * misshapen))
+        if how == "quoted" or (how == "minimal" and any(c in cell for c in ',"\r\n')):
+            return '"' + cell.replace('"', '""') + '"'
+        return cell
+
+    width = draw(st.integers(1, 4))
+    label_pos = draw(st.integers(0, width - 1))
+    header = [draw(NAMES) for _ in range(width)]
+    header[label_pos] = "y"
+    records = [header]
+    for _ in range(draw(st.integers(0, 5))):
+        row = [draw(LABELS) if i == label_pos else draw(FEATURE_CELLS) for i in range(width)]
+        shape = draw(st.sampled_from(["ok"] * 6 + ["short", "long"])) if misshapen else "ok"
+        if shape == "short":
+            row.pop()
+        elif shape == "long":
+            row.append(draw(FEATURE_CELLS))
+        records.append(row)
+    pieces = []
+    for record in records:
+        pieces += [",".join(encode(cell) for cell in record), draw(EOLS)]
+        if misshapen and draw(st.integers(0, 5)) == 0:
+            pieces += [draw(st.sampled_from(["", " ", " \t"])), draw(EOLS)]
+    if draw(st.booleans()):
+        pieces.pop()  # no line end after the last line
+    return "".join(pieces)
 
 
 class TestLoadCsv:
@@ -44,10 +178,10 @@ class TestLoadCsv:
         assert exc.value.col == "f1"
 
     def test_nan_cell_rejected(self, tmp_path):
-        p = write(tmp_path, "f1,y\nnan,a\n1.0,b\n")
+        p = write(tmp_path, "f1,f2,y\n1.0,nan,a\n1.0,2.0,b\n")
         with pytest.raises(NonNumericCellError) as exc:
             load_csv(p, "y")
-        assert exc.value.row == 0
+        assert (exc.value.row, exc.value.col, exc.value.value) == (0, "f2", "nan")
 
     def test_empty_file(self, tmp_path):
         p = write(tmp_path, "")
@@ -56,8 +190,10 @@ class TestLoadCsv:
 
     def test_header_only(self, tmp_path):
         p = write(tmp_path, "f1,y\n")
-        with pytest.raises(EmptyFileError):
-            load_csv(p, "y")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "input contained no data" would raise
+            with pytest.raises(EmptyFileError):
+                load_csv(p, "y")
 
     def test_row_width_mismatch(self, tmp_path):
         p = write(tmp_path, "f1,f2,y\n1.0,2.0,a\n1.0,b\n")
@@ -86,6 +222,56 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="not UTF-8") as exc:
             load_csv(p, "y")
         assert str(p) in str(exc.value)
+
+    def test_blank_line_rejected(self, tmp_path):
+        p = write(tmp_path, "f1,y\n1.0,a\n\n2.0,b\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(p, "y")
+        assert str(exc.value) == f"{p}: row 1 has 0 cells, expected 2"
+
+    def test_bad_cell_before_ragged_row_is_reported(self, tmp_path):
+        p = write(tmp_path, "f1,y\nabc,a\n1.0\n")
+        with pytest.raises(NonNumericCellError) as exc:
+            load_csv(p, "y")
+        assert (exc.value.row, exc.value.col) == (0, "f1")
+
+    def test_python_float_syntax(self, tmp_path):
+        # numpy refuses these; Python's float() takes them
+        p = write(tmp_path, "f1,y\n1_000,a\n\u0661,b\n")
+        ds = load_csv(p, "y")
+        assert ds.features.tolist() == [[1000.0], [1.0]]
+
+    def test_header_with_quoted_newline(self, tmp_path):
+        # the header's second physical line would parse as a row of floats
+        # if the numeric pass skipped one line instead of the whole record
+        p = write(tmp_path, '"x\n5,",y\n1,a"\n2,c\n')
+        ds = load_csv(p, "y")
+        assert ds.feature_names == ("x\n5,",)
+        assert ds.features.tolist() == [[1.0], [2.0]]
+        assert ds.label_names == ('a"', "c")
+
+    def test_plain_file_skips_per_cell_parse(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-cell parse ran on a file numpy parses")
+
+        monkeypatch.setattr(alselect.data, "_parse_records", refuse)
+        p = write(tmp_path, 'y,f1,f2\r\n"a, \nb",1.5,-2e-3\r\nc, 3 ,"4"\r\n')
+        ds = load_csv(p, "y")
+        assert ds.features.tolist() == [[1.5, -2e-3], [3.0, 4.0]]
+        assert ds.label_names == ("a, \nb", "c")
+
+    def test_numeric_pass_with_other_row_count_is_not_used(self, tmp_path, monkeypatch):
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: loadtxt(*args, **kwargs)[:1])
+        p = write(tmp_path, "f1,y\n1.0,a\n2.0,b\n")
+        assert load_csv(p, "y").features.tolist() == [[1.0], [2.0]]
+
+    @given(csv_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_per_cell_reference(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = write(Path(tmp), text)
+            assert outcome(load_csv, p) == outcome(reference_load_csv, p)
 
     def test_numeric_labels_ok(self, tmp_path):
         p = write(tmp_path, "x,y\n1.0,7\n2.0,3\n3.0,7\n")

@@ -325,13 +325,15 @@ class TestValidateLemma:
         assert report.hit_rate >= report.target - 3 * se
 
     def test_equal_weights_closed_form(self):
-        # independent-draw closed form: 1 - (1-beta)^n_s
+        # n_s draws without replacement from n items miss all m pocket items
+        # with probability C(n-m, n_s) / C(n, n_s)
         spec = small_spec(n=400, d=10, k=10, beta=0.05,
                           train_prevalence=tuple([0.1] * 10),
                           pool_prevalence=tuple([0.1] * 10),
                           pocket_class=0, seed=4)
         report = validate_lemma(spec, chi=0.05, delta=0.5, repeats=1500, equal_weights=True)
-        predicted = 1.0 - (1.0 - spec.beta) ** report.bound.n_s
+        n, m, n_s = spec.n, round(spec.beta * spec.n), report.bound.n_s
+        predicted = 1.0 - math.comb(n - m, n_s) / math.comb(n, n_s)
         se = math.sqrt(predicted * (1 - predicted) / report.repeats)
         assert abs(report.hit_rate - predicted) <= 3 * se
 
