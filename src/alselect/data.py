@@ -1,13 +1,13 @@
 """Dataset ingestion and standardization.
 
 CSV dialect is deliberately rigid for bit-deterministic parsing: comma
-separated, UTF-8, mandatory header. Records and quoting follow the `csv`
-module's defaults: a `"`-quoted cell may hold commas, newlines and `""`
-for a quote. Feature cells take Python `float` syntax and must be finite.
-A blank line, a row with the wrong number of cells and a non-finite or
-non-numeric cell are refused, naming the row (and, for a cell, the
-column). Labels may be arbitrary strings; they are mapped to dense
-integers by first appearance.
+separated, UTF-8 (a leading byte-order mark is skipped), mandatory header.
+Records and quoting follow the `csv` module's defaults: a `"`-quoted cell
+may hold commas, newlines and `""` for a quote. Feature cells take Python
+`float` syntax and must be finite. A blank line, a row with the wrong
+number of cells and a non-finite or non-numeric cell are refused, naming
+the row (and, for a cell, the column). Labels may be arbitrary strings;
+they are mapped to dense integers by first appearance.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def load_csv(path, label_column: str) -> Dataset:
     """
     path = Path(path)
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

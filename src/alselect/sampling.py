@@ -5,7 +5,9 @@ An item with weight u gets key a^(1/u) for a ~ unif(0,1); keeping the K
 largest keys realizes weighted sampling without replacement in one pass
 with O(K) retained items. Keys are compared in log space (ln a / u, a
 strictly monotone transform) so that huge weights cannot collapse distinct
-keys onto 1.0 through float rounding.
+keys onto 1.0 through float rounding. Each chunk merges into the retained
+items by one `lexsort`, after a `partition` has dropped every key below the
+K-th best when the merge holds many more than K candidates.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ import numpy as np
 from .errors import InsufficientItemsError
 
 _CHUNK = 4096
+# A merge holding more than this many candidates beyond K partitions out the
+# K-th best key first and sorts only the keys that reach it; a smaller merge
+# sorts every candidate. 512 is where the two cost the same (numpy 2.4).
+_PARTITION_SURPLUS = 512
 
 
 class RngState:
@@ -50,10 +56,8 @@ class RngState:
         redrawn in place. Consecutive blocks read one stream, so one block
         of `size` equals `size` one-element blocks unless a zero is redrawn."""
         arr = self._gen.random(size)
-        zero = arr == 0.0
-        while zero.any():
-            arr[zero] = self._gen.random(int(zero.sum()))
-            zero = arr == 0.0
+        while n_zero := size - np.count_nonzero(arr):
+            arr[arr == 0.0] = self._gen.random(n_zero)
         return arr
 
     def integers(self, high: int | np.ndarray) -> int | np.ndarray:
@@ -101,20 +105,28 @@ def select_top_k(
         raise ValueError(f"K must be >= 1, got {k}")
     items = iter(stream)
     n_seen = 0
-    kept_ids = kept_keys = None
+    # ranked by (-log key, id) ascending; negation is exact, so this is the
+    # documented order and no merge has to negate the retained keys again
+    kept_ids = kept_neg = None
     while chunk := list(itertools.islice(items, _CHUNK)):
         ids, weights = zip(*chunk)
         w = np.array(weights, dtype=np.float64)
-        if not (w.min() > 0.0 and w.max() < math.inf):  # NaN fails both
+        if not (w[w.argmin()] > 0.0 and w[w.argmax()] < math.inf):  # NaN fails both
             bad = w[~((w > 0.0) & (w < math.inf))][0]
             raise ValueError(f"weights must be positive and finite, got {float(bad)}")
         ids = np.array(ids, dtype=np.int64)
-        keys = np.log(rng.uniforms_open(len(w))) / w
+        neg = np.log(rng.uniforms_open(len(w))) / -w
         if kept_ids is not None:
             ids = np.concatenate((kept_ids, ids))
-            keys = np.concatenate((kept_keys, keys))
-        best = np.lexsort((ids, -keys))[:k]
-        kept_ids, kept_keys = ids[best], keys[best]
+            neg = np.concatenate((kept_neg, neg))
+        if len(ids) > k:
+            if len(ids) - k > _PARTITION_SURPLUS:
+                # every key tied with the K-th best goes on, so the sort decides ties
+                cand = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+                ids, neg = ids[cand], neg[cand]
+            best = np.lexsort((ids, neg))[:k]
+            ids, neg = ids[best], neg[best]
+        kept_ids, kept_neg = ids, neg
         n_seen += len(w)
         if stats is not None:
             stats.items_seen = n_seen

@@ -70,7 +70,9 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray, b: int,
     Greedy ranks by descending score, ties toward the smaller position.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or not ((scores > 0.0).all() and np.isfinite(scores).all()):
+    # argmin/argmax return the first NaN, so NaN fails; an empty array passes
+    if scores.ndim != 1 or (scores.size and not (
+            scores[scores.argmin()] > 0.0 and scores[scores.argmax()] < math.inf)):
         raise ValueError("scores must be positive and finite (smoothing floor)")
     if b < 1:
         raise ValueError(f"B must be >= 1, got {b}")

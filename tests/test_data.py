@@ -241,6 +241,32 @@ class TestLoadCsv:
         ds = load_csv(p, "y")
         assert ds.features.tolist() == [[1000.0], [1.0]]
 
+    # spreadsheet programs save "CSV UTF-8" with a leading byte-order mark
+    def test_bom_label_first(self, tmp_path):
+        p = write(tmp_path, "\ufefflabel,x\na,1\nb,2\n")
+        ds = load_csv(p, "label")
+        assert ds.feature_names == ("x",)
+        assert ds.features.tolist() == [[1.0], [2.0]]
+        assert ds.label_names == ("a", "b")
+
+    def test_bom_feature_first(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-cell parse ran on a file numpy parses")
+
+        monkeypatch.setattr(alselect.data, "_parse_records", refuse)
+        p = write(tmp_path, "\ufeffx,y\n1.5,a\n2.5,b\n")
+        ds = load_csv(p, "y")
+        assert ds.feature_names == ("x",)
+        assert "\ufeff" not in ds.feature_names[0]
+        assert ds.features.tolist() == [[1.5], [2.5]]
+
+    def test_bom_per_cell_path(self, tmp_path):
+        p = write(tmp_path, "\ufeffx,y\n1_000,a\n2,b\n")
+        ds = load_csv(p, "y")
+        assert ds.feature_names == ("x",)
+        assert ds.features.tolist() == [[1000.0], [2.0]]
+        assert ds.label_names == ("a", "b")
+
     def test_header_with_quoted_newline(self, tmp_path):
         # the header's second physical line would parse as a row of floats
         # if the numeric pass skipped one line instead of the whole record

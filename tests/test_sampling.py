@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alselect.errors import InsufficientItemsError
 from alselect.sampling import (_CHUNK, RngState, SelectionStats, select_top_k,
@@ -60,6 +62,105 @@ class TestRngState:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             RngState(-1)
+
+    def test_zero_draws_redrawn_in_place(self):
+        # zeros at known positions: each pass redraws exactly the zeros
+        # left, in position order, from the same stream
+        class ScriptedGen:
+            def __init__(self, values):
+                self.values = list(values)
+                self.sizes = []
+
+            def random(self, size):
+                self.sizes.append(size)
+                out, self.values = self.values[:size], self.values[size:]
+                return np.array(out)
+
+        r = RngState(0)
+        r._gen = ScriptedGen([0.5, 0.0, 0.25, 0.0, 0.0, 0.75,   # first block
+                              0.125, 0.0, 0.375,                # redraw of positions 1, 3, 4
+                              0.0,                              # redraw of position 3
+                              0.625,                            # redraw of position 3
+                              0.875])                           # next block
+        assert r.uniforms_open(6).tolist() == [0.5, 0.125, 0.25, 0.625, 0.375, 0.75]
+        assert r._gen.sizes == [6, 3, 1, 1]
+        assert r.uniforms_open(1).tolist() == [0.875]
+        assert r._gen.sizes == [6, 3, 1, 1, 1]
+
+
+def oracle_select_top_k(stream, k, rng, stats=None):
+    """select_top_k with every merge a full lexsort of the retained keys
+    plus the chunk: the reference the partitioned merge must reproduce."""
+    if k < 1:
+        raise ValueError(f"K must be >= 1, got {k}")
+    items = iter(stream)
+    n_seen = 0
+    kept_ids = kept_keys = None
+    while chunk := list(itertools.islice(items, _CHUNK)):
+        ids, weights = zip(*chunk)
+        w = np.array(weights, dtype=np.float64)
+        if not (w.min() > 0.0 and w.max() < math.inf):  # NaN fails both
+            bad = w[~((w > 0.0) & (w < math.inf))][0]
+            raise ValueError(f"weights must be positive and finite, got {float(bad)}")
+        ids = np.array(ids, dtype=np.int64)
+        keys = np.log(rng.uniforms_open(len(w))) / w
+        if kept_ids is not None:
+            ids = np.concatenate((kept_ids, ids))
+            keys = np.concatenate((kept_keys, keys))
+        best = np.lexsort((ids, -keys))[:k]
+        kept_ids, kept_keys = ids[best], keys[best]
+        n_seen += len(w)
+        if stats is not None:
+            stats.items_seen = n_seen
+            stats.peak_retained = max(stats.peak_retained, len(kept_ids))
+
+    if n_seen < k:
+        raise InsufficientItemsError(n_seen, k)
+    if len(chosen := set(kept_ids.tolist())) < k:
+        raise ValueError("ids must be distinct")
+    return chosen
+
+
+class CoarseRng:
+    """Uniforms rounded onto {1/4, 1/2, 3/4}: with equal weights, keys then
+    tie by the thousand, at the partition threshold too."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def uniforms_open(self, size):
+        return (np.floor(self.rng.uniforms_open(size) * 3.0) + 1.0) / 4.0
+
+
+WEIGHT_KINDS = {
+    "equal": lambda g, n: np.full(n, 2.5),
+    "tiny": lambda g, n: np.full(n, 1e-300),
+    "huge": lambda g, n: np.full(n, 1e300),
+    "spread": lambda g, n: np.exp(g.normal(0.0, 30.0, n)),
+    "mixed": lambda g, n: g.choice([1e-300, 1.0, 1e300], n),
+}
+
+
+@st.composite
+def top_k_cases(draw):
+    """(items, K, seed, coarse) with n in [1, 3*_CHUNK+1] and K in [1, n+1];
+    ids are a permutation of a sparse range, and at most one id repeats or
+    one weight is zero, negative, inf or NaN."""
+    n = draw(st.one_of(st.integers(1, 40),
+                       st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 3 * _CHUNK + 1]),
+                       st.integers(1, 3 * _CHUNK + 1)))
+    k = draw(st.one_of(st.integers(1, n + 1), st.sampled_from(sorted({n, n + 1, min(n, _CHUNK + 1)}))))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = g.permutation(3 * n)[:n]
+    weights = WEIGHT_KINDS[draw(st.sampled_from(sorted(WEIGHT_KINDS)))](g, n)
+    fault = draw(st.sampled_from([None, None, "repeat", "weight"]))
+    pos = draw(st.integers(0, n - 1))
+    if fault == "repeat":
+        ids[pos] = ids[draw(st.integers(0, n - 1))]
+    elif fault == "weight":
+        weights[pos] = draw(st.sampled_from([0.0, -1.0, math.inf, math.nan]))
+    items = list(zip(ids.tolist(), weights.tolist()))
+    return items, k, draw(st.integers(0, 2**16)), draw(st.booleans())
 
 
 class TestSelectTopK:
@@ -182,6 +283,21 @@ class TestSelectTopK:
         # same seed and same selection distribution: the realized inclusion
         # frequencies must agree within MC noise
         assert np.abs(freqs[0] - freqs[1]).max() < 0.01
+
+    @given(top_k_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_sort_oracle(self, case):
+        items, k, seed, coarse = case
+        results = []
+        for select in (select_top_k, oracle_select_top_k):
+            rng, stats = RngState(seed), SelectionStats()
+            try:
+                out = select(items, k, CoarseRng(rng) if coarse else rng, stats)
+            except ValueError as exc:  # InsufficientItemsError included
+                out = (type(exc), str(exc))
+            assert stats.peak_retained <= k
+            results.append((out, rng.uniforms_open(1)[0], stats.items_seen))
+        assert results[0] == results[1]
 
 
 def pair_probabilities_oracle(weights):

@@ -68,11 +68,18 @@ class TestScorePool:
 class TestSelectBatchScores:
     # greedy would rank a nan or inf without complaint, so only the check fails these
     @pytest.mark.parametrize("scores", [[1.0, 0.0], [1.0, -1.0], [1.0, math.nan],
-                                        [1.0, math.inf], [[1.0, 2.0], [3.0, 4.0]]],
-                             ids=["zero", "negative", "nan", "inf", "2d"])
+                                        [math.nan, 1.0], [2.0, math.nan, 0.5],
+                                        [1.0, math.inf], [-math.inf, 1.0],
+                                        [[1.0, 2.0], [3.0, 4.0]]],
+                             ids=["zero", "negative", "nan", "nan_first", "nan_mid",
+                                  "inf", "neg_inf", "2d"])
     def test_rejects_nonpositive_scores(self, scores):
         with pytest.raises(ValueError, match=r"scores must be positive and finite \(smoothing floor\)"):
             select_batch(StrategyConfig(kind=StrategyKind.GREEDY), np.array(scores), 1, RngState(0))
+
+    def test_empty_scores_are_too_few(self):
+        with pytest.raises(InsufficientItemsError):
+            select_batch(StrategyConfig(kind=StrategyKind.GREEDY), np.array([]), 1, RngState(0))
 
 
 class TestGreedy:
