@@ -114,8 +114,8 @@ def fit(features, labels, n_classes: int, cfg: FitConfig = FitConfig(),
         raise ValueError("labels outside [0, n_classes)")
 
     W = np.zeros((n_classes, Xa.shape[1]))
+    loss, G = loss_and_grad(W, Xa, y, n_classes, cfg.l2_reg)
     for _ in range(_MAX_ITERS):
-        loss, G = loss_and_grad(W, Xa, y, n_classes, cfg.l2_reg)
         if loss_history is not None:
             loss_history.append(loss)
         if np.abs(G).max() < cfg.tol:
@@ -124,9 +124,12 @@ def fit(features, labels, n_classes: int, cfg: FitConfig = FitConfig(),
         step = -np.linalg.lstsq(H, G.ravel(), rcond=None)[0].reshape(W.shape)
         slope = float((G * step).sum())
         for t in 0.5 ** np.arange(51):
+            trial = W + t * step
+            trial_loss, trial_G = loss_and_grad(trial, Xa, y, n_classes, cfg.l2_reg)
             # `<=` is False for an overflowed (nan) loss, so that step is halved too
-            if loss_and_grad(W + t * step, Xa, y, n_classes, cfg.l2_reg)[0] <= loss + 1e-4 * t * slope:
-                W = W + t * step
+            if trial_loss <= loss + 1e-4 * t * slope:
+                # carried over, so no W is evaluated twice
+                W, loss, G = trial, trial_loss, trial_G
                 break
         else:
             break

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, EmptyFileError, MissingColumnError, NonNumericCellError
+from .errors import DataFormatError
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,11 @@ def load_csv(path, label_column: str) -> Dataset:
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise EmptyFileError(path) from None
+            header = next(reader, None)
             if not header or header == [""]:
-                raise EmptyFileError(path)
+                raise DataFormatError(f"{path}: file is empty or has no header row")
             if label_column not in header:
-                raise MissingColumnError(path, label_column)
+                raise DataFormatError(f"{path}: column {label_column!r} not found in header")
             label_idx = header.index(label_column)
             feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
             header_lines = reader.line_num  # a quoted header cell may span lines
@@ -100,7 +97,7 @@ def load_csv(path, label_column: str) -> Dataset:
                     break
                 raw_labels.append(row[label_idx])
             if not raw_labels and not ragged:
-                raise EmptyFileError(path)
+                raise DataFormatError(f"{path}: file is empty or has no header row")
 
             features = None
             if not ragged:
@@ -161,9 +158,10 @@ def _parse_records(path, reader, label_idx: int) -> tuple[np.ndarray, list[str]]
             try:
                 v = float(cell)
             except ValueError:
-                raise NonNumericCellError(path, rownum, header[i], cell) from None
+                v = math.nan
             if not math.isfinite(v):
-                raise NonNumericCellError(path, rownum, header[i], cell)
+                raise DataFormatError(f"{path}: non-numeric cell {cell!r} "
+                                      f"at row={rownum}, col={header[i]!r}")
             vals.append(v)
         rows.append(vals)
         raw_labels.append(row[label_idx])

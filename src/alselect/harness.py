@@ -20,10 +20,10 @@ import numpy as np
 
 from .classifier import FitConfig, accuracy, fit
 from .data import Dataset, standardize_apply, standardize_fit
-from .errors import ConfigError, InfeasibleSpecError, InsufficientClassInstancesError
+from .errors import ConfigError
 from .probs import LemmaBoundInput, LemmaBoundReport, lemma_bound
 from .sampling import RngState, select_top_k, uniform_sample
-from .strategies import StrategyConfig, score_pool, select_batch
+from .strategies import StrategyConfig, StrategyKind, score_pool, select_batch
 
 # stream tags for RngState.derive
 _HOLDOUT = 0
@@ -99,7 +99,8 @@ def biased_init(labels: Sequence[int], n0: int, k: int, rng: RngState) -> set[in
             continue
         members = np.flatnonzero(y == c)
         if len(members) < quota:
-            raise InsufficientClassInstancesError(c, len(members), quota)
+            raise ConfigError(f"class {c} has {len(members)} instances, needs {quota} "
+                              "for the initial labeled set; lower n0")
         chosen |= uniform_sample(members.tolist(), quota, rng)
     return chosen
 
@@ -112,6 +113,26 @@ def holdout_ids(n: int, cfg: ExperimentConfig) -> set[int]:
         raise ConfigError(f"holdout_fraction = {cfg.holdout_fraction} leaves no holdout "
                           f"rows in a dataset of {n} rows")
     return uniform_sample(range(n), size, RngState(cfg.master_seed).derive(_HOLDOUT))
+
+
+def _max_exponent_d(chi: float, k: int) -> float:
+    """Largest WEIGHTED exponent_d whose weights u**d keep every exponent
+    key ln(a) / u**d finite for smoothing floor chi and k classes.
+
+    The smallest score is the entropy of a smoothed one-hot prediction, and
+    the key stays finite for every uniform a >= 2**-53 only while
+    u**d >= 53 ln 2 / DBL_MAX. The largest score is ln k, and (ln k)**d must
+    not overflow; for k = 2 it never does.
+    """
+    dbl_max = float(np.finfo(np.float64).max)
+    top, rest = 1.0 - chi + chi / k, chi / k
+    h_min = -(top * math.log(top) + (k - 1) * rest * math.log(rest))
+    limits = []
+    if h_min < 1.0:
+        limits.append(math.log(53 * math.log(2) / dbl_max) / math.log(h_min))
+    if math.log(k) > 1.0:
+        limits.append(math.log(dbl_max) / math.log(math.log(k)))
+    return min(limits, default=math.inf)
 
 
 def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list[RoundRecord]:
@@ -143,6 +164,14 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
             f"n0 + rounds*batch = {cfg.n0 + cfg.rounds * cfg.batch} exceeds "
             f"the {len(remaining)} ids left after the holdout split"
         )
+    if cfg.strategy.kind is StrategyKind.WEIGHTED:
+        d_max = _max_exponent_d(cfg.strategy.chi, dataset.k)
+        if cfg.strategy.exponent_d > d_max:
+            raise ConfigError(
+                f"exponent_d = {cfg.strategy.exponent_d} takes the weights u**exponent_d "
+                f"out of the float range at chi = {cfg.strategy.chi} and k = {dataset.k}; "
+                f"the largest usable exponent_d is {d_max:.2f}"
+            )
 
     init_rng = master.derive(_INIT, trial_index)
     select_rng = master.derive(_SELECT, trial_index)
@@ -313,7 +342,7 @@ def generate_pocket_dataset(spec: SynthPocketSpec) -> tuple[Dataset, frozenset[i
     """
     pocket_m = int(round(spec.beta * spec.n))
     if spec.beta > 0 and pocket_m < 1:
-        raise InfeasibleSpecError(f"beta*n = {spec.beta * spec.n:.3f} rounds to an empty pocket")
+        raise ConfigError(f"beta*n = {spec.beta * spec.n:.3f} rounds to an empty pocket")
 
     counts = _largest_remainder(spec.n, spec.pool_prevalence)
     overlap_m = int(round(spec.overlap_fraction * spec.n))
@@ -324,7 +353,7 @@ def generate_pocket_dataset(spec: SynthPocketSpec) -> tuple[Dataset, frozenset[i
     main_counts[spec.pocket_class] -= pocket_m
     if (main_counts < 0).any():
         bad = int(np.argmin(main_counts))
-        raise InfeasibleSpecError(
+        raise ConfigError(
             f"class {bad}: pool_prevalence allocates {counts[bad]} rows but "
             f"pocket/overlap need more"
         )
@@ -388,11 +417,11 @@ def validate_lemma(spec: SynthPocketSpec, chi: float, delta: float,
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     pocket_m = int(round(spec.beta * spec.n))
     if pocket_m < 1:
-        raise InfeasibleSpecError("pocket is empty; nothing to hit")
+        raise ConfigError("pocket is empty; nothing to hit")
 
     bound = lemma_bound(LemmaBoundInput(beta=spec.beta, chi=chi, k=spec.k, delta=delta))
     if bound.n_s > spec.n:
-        raise InfeasibleSpecError(
+        raise ConfigError(
             f"bound requires n_s={bound.n_s} draws but the pool has only {spec.n} items"
         )
 

@@ -19,8 +19,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InsufficientItemsError
-
 _CHUNK = 4096
 # A merge holding more than this many candidates beyond K partitions out the
 # K-th best key first and sorts only the keys that reach it; a smaller merge
@@ -99,7 +97,7 @@ def select_top_k(
     output is a pure function of (stream, K, rng seed). Each chunk is merged
     into the retained set by log key descending, ties toward the smaller id.
 
-    Raises InsufficientItemsError (fewer than K items) or ValueError (ids repeat).
+    Raises ValueError when the stream holds fewer than K items or ids repeat.
     """
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
@@ -133,7 +131,7 @@ def select_top_k(
             stats.peak_retained = max(stats.peak_retained, len(kept_ids))
 
     if n_seen < k:
-        raise InsufficientItemsError(n_seen, k)
+        raise ValueError(f"requested {k} items but only {n_seen} available")
     if len(chosen := set(kept_ids.tolist())) < k:
         raise ValueError("ids must be distinct")
     return chosen
@@ -146,8 +144,8 @@ def uniform_sample(ids: Iterable[int], k: int, rng: RngState) -> set[int]:
     j ~ unif[0, n] when j < K. The draws do not depend on the reservoir, so
     each chunk takes all its j in one `integers` call and then applies the
     hits in stream order; result and rng state match one draw per id.
-    Every K-subset of the stream is equally likely. Raises
-    InsufficientItemsError (fewer than K ids) or ValueError (ids repeat).
+    Every K-subset of the stream is equally likely. Raises ValueError when
+    the stream holds fewer than K ids or ids repeat.
     """
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
@@ -161,7 +159,7 @@ def uniform_sample(ids: Iterable[int], k: int, rng: RngState) -> set[int]:
             reservoir[slot] = chunk[pos]
         n += len(chunk)
     if n < k:
-        raise InsufficientItemsError(n, k)
+        raise ValueError(f"requested {k} items but only {n} available")
     if len(chosen := set(reservoir)) < k:
         raise ValueError("ids must be distinct")
     return chosen

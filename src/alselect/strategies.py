@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ModelParams, predict_proba_matrix
-from .errors import InsufficientItemsError
 from .sampling import RngState, select_top_k, uniform_sample
 
 
@@ -77,7 +76,7 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray, b: int,
     if b < 1:
         raise ValueError(f"B must be >= 1, got {b}")
     if len(scores) < b:
-        raise InsufficientItemsError(len(scores), b)
+        raise ValueError(f"requested {b} items but only {len(scores)} available")
 
     if cfg.kind is StrategyKind.RANDOM:
         return uniform_sample(range(len(scores)), b, rng)

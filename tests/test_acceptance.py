@@ -1,4 +1,4 @@
-"""Acceptance suite: eight go/no-go checks at their declared tolerances.
+"""Acceptance suite: nine go/no-go checks at their declared tolerances.
 
 Each test prints one PASS/FAIL line (run pytest with -s to see them all).
 Monte Carlo checks run at full declared sizes; every expected value is
@@ -223,7 +223,38 @@ def test_criterion_7_split_and_selection_invariants(capsys):
                time.perf_counter() - t0, 60.0)
 
 
-def test_criterion_8_qualitative_signature(capsys):
+# criterion 8's scenario, shared with criterion 9
+POCKET_SPEC = SynthPocketSpec(
+    n=8000, d=10, k=3, beta=0.1,
+    train_prevalence=(1 / 3, 1 / 3, 1 / 3),
+    pool_prevalence=(11 / 30, 17 / 30, 2 / 30),
+    pocket_class=1, separation=6.0, seed=777,
+    pocket_decoy=0, pocket_offset=3.25, overlap_fraction=0.2,
+)
+
+
+@pytest.fixture(scope="module")
+def pocket_runs():
+    """Criterion 8's pocket ids and a `run(kind, d)` that runs its config once
+    per (kind, d) in this module, so the test that asks first pays the time."""
+    dataset, pocket_ids = generate_pocket_dataset(POCKET_SPEC)
+    results = {}
+
+    def run(kind, d=1.0):
+        if (kind, d) not in results:
+            cfg = ExperimentConfig(
+                strategy=StrategyConfig(kind=kind, chi=0.25, exponent_d=d),
+                fit=FitConfig(),
+                n0=100, rounds=30, batch=30, trials=5,
+                holdout_fraction=0.25, master_seed=99,
+            )
+            results[kind, d] = run_experiment(dataset, cfg)
+        return results[kind, d]
+
+    return run, pocket_ids
+
+
+def test_criterion_8_qualitative_signature(pocket_runs, capsys):
     """Tuned biased-init pocket scenario reproduces the hard-dataset
     pattern: Greedy lands >= 3 points below Random while the weighted
     sampler stays within 2 points of the best of the two.
@@ -236,24 +267,11 @@ def test_criterion_8_qualitative_signature(capsys):
     roughly its prevalence and recover it.
     """
     t0 = time.perf_counter()
-    spec = SynthPocketSpec(
-        n=8000, d=10, k=3, beta=0.1,
-        train_prevalence=(1 / 3, 1 / 3, 1 / 3),
-        pool_prevalence=(11 / 30, 17 / 30, 2 / 30),
-        pocket_class=1, separation=6.0, seed=777,
-        pocket_decoy=0, pocket_offset=3.25, overlap_fraction=0.2,
-    )
-    dataset, _ = generate_pocket_dataset(spec)
+    run, _ = pocket_runs
     finals = {}
     stds = {}
     for kind in (StrategyKind.RANDOM, StrategyKind.GREEDY, StrategyKind.WEIGHTED):
-        cfg = ExperimentConfig(
-            strategy=StrategyConfig(kind=kind, chi=0.25, exponent_d=1.0),
-            fit=FitConfig(),
-            n0=100, rounds=30, batch=30, trials=5,
-            holdout_fraction=0.25, master_seed=99,
-        )
-        res = run_experiment(dataset, cfg)
+        res = run(kind)
         finals[kind] = 100 * res.final_accuracy_mean
         stds[kind] = 100 * res.final_accuracy_std
     gap = finals[StrategyKind.RANDOM] - finals[StrategyKind.GREEDY]
@@ -267,4 +285,36 @@ def test_criterion_8_qualitative_signature(capsys):
         report(8, gap >= 3.0 and wd >= -2.0,
                f"{table}; random-greedy gap {gap:+.2f} >= 3, "
                f"weighted vs best {wd:+.2f} >= -2",
+               time.perf_counter() - t0, 300.0)
+
+
+def test_criterion_9_exponent_moves_weighted_toward_greedy(pocket_runs, capsys):
+    """On criterion 8's scenario the exponent d moves weighted sampling from
+    random toward greedy: the pocket's share of picks does not rise over
+    d = 1, 16, 32, 64, d=1 ends within 2 points of random and d=64 within
+    2 points of greedy. The margins come from the d sweep in the README.
+    """
+    t0 = time.perf_counter()
+    run, pocket_ids = pocket_runs
+
+    def final(res):
+        return 100 * res.final_accuracy_mean
+
+    def pocket_share(res):
+        picks = [i for rec in res.records for i in rec.selected_ids]
+        return 100 * sum(i in pocket_ids for i in picks) / len(picks)
+
+    exponents = (1.0, 16.0, 32.0, 64.0)
+    weighted = {d: run(StrategyKind.WEIGHTED, d) for d in exponents}
+    shares = [pocket_share(weighted[d]) for d in exponents]
+    falling = all(a >= b for a, b in zip(shares, shares[1:]))
+    to_random = final(weighted[1.0]) - final(run(StrategyKind.RANDOM))
+    to_greedy = final(weighted[64.0]) - final(run(StrategyKind.GREEDY))
+    table = "  ".join(f"d={d:g}: {final(weighted[d]):.2f}/{s:.2f}%"
+                      for d, s in zip(exponents, shares))
+    with capsys.disabled():
+        report(9, falling and abs(to_random) <= 2.0 and abs(to_greedy) <= 2.0,
+               f"final/pocket share of picks {table}; pocket share non-increasing: "
+               f"{falling}; d=1 vs random {to_random:+.2f}, d=64 vs greedy "
+               f"{to_greedy:+.2f} (|.| <= 2)",
                time.perf_counter() - t0, 300.0)

@@ -5,6 +5,7 @@ boundary behaviors, and determinism."""
 import numpy as np
 import pytest
 
+from alselect import classifier
 from alselect.classifier import (_MAX_ITERS, FitConfig, ModelParams, _augment, accuracy,
                                  fit, loss_and_grad, predict_proba_matrix)
 
@@ -20,6 +21,18 @@ def finite_difference_grad(W, Xa, y, k, l2, step=1e-5):
         lm, _ = loss_and_grad(Wm, Xa, y, k, l2)
         G[idx] = (lp - lm) / (2 * step)
     return G
+
+
+def line_search_problems():
+    """Five random 3-class problems, and one that needs backtracking."""
+    rng = np.random.default_rng(3)
+    problems = [(rng.standard_normal((20, 5)), rng.integers(0, 3, size=20))
+                for _ in range(5)]
+    # on this one undamped Newton steps raise the loss by ~3e4 and never
+    # converge, so it needs the backtracking line search
+    problems.append((np.array([[4.0, 2.0], [-3.0, 5.0], [3.0, 2.0], [5.0, 0.0]]),
+                     np.array([0, 1, 2, 2])))
+    return problems
 
 
 class TestGradient:
@@ -63,18 +76,27 @@ class TestFit:
         assert accuracy(params, X, y) == 1.0
 
     def test_loss_monotone(self):
-        rng = np.random.default_rng(3)
-        problems = [(rng.standard_normal((20, 5)), rng.integers(0, 3, size=20))
-                    for _ in range(5)]
-        # on this one undamped Newton steps raise the loss by ~3e4 and never
-        # converge, so it needs the backtracking line search
-        problems.append((np.array([[4.0, 2.0], [-3.0, 5.0], [3.0, 2.0], [5.0, 0.0]]),
-                         np.array([0, 1, 2, 2])))
-        for X, y in problems:
+        for X, y in line_search_problems():
             losses = []
             fit(X, y, 3, FitConfig(), loss_history=losses)
             diffs = np.diff(losses)
             assert diffs.max() <= 1e-10
+
+    def test_each_iterate_evaluated_once(self, monkeypatch):
+        # the accepted line-search trial's loss and gradient start the next iteration
+        seen = []
+
+        def recording(W, *args):
+            seen.append(W.tobytes())
+            return loss_and_grad(W, *args)
+
+        monkeypatch.setattr(classifier, "loss_and_grad", recording)
+        for X, y in line_search_problems():
+            seen.clear()
+            losses = []
+            fit(X, y, 3, FitConfig(), loss_history=losses)
+            assert len(losses) > 2
+            assert len(set(seen)) == len(seen)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)

@@ -8,10 +8,8 @@ import pytest
 
 from alselect.classifier import accuracy, fit
 from alselect.data import standardize_apply, standardize_fit
-from alselect.errors import (ConfigError, InfeasibleSpecError,
-                             InsufficientClassInstancesError,
-                             VacuousBoundError)
-from alselect import harness
+from alselect.errors import ConfigError, VacuousBoundError
+from alselect import cli, harness
 from alselect.harness import (ExperimentConfig, SynthPocketSpec, biased_init,
                               generate_pocket_dataset, holdout_ids,
                               run_experiment, run_trial, validate_lemma)
@@ -58,10 +56,10 @@ class TestBiasedInit:
 
     def test_insufficient_names_class(self):
         labels = np.array([0] * 50 + [1] * 2)
-        with pytest.raises(InsufficientClassInstancesError) as exc:
+        with pytest.raises(ConfigError) as exc:
             biased_init(labels, 10, 2, RngState(0))
-        assert exc.value.class_index == 1
-        assert isinstance(exc.value, ConfigError) and "n0" in str(exc.value)
+        assert str(exc.value) == ("class 1 has 2 instances, needs 5 "
+                                  "for the initial labeled set; lower n0")
 
     def test_positions_meet_quotas(self):
         labels = np.random.default_rng(1).integers(0, 3, size=50)
@@ -136,6 +134,37 @@ class TestRunTrial:
             run_trial(dataset, small_config(holdout_fraction=0.001), 0)
         assert fits == []
         assert not getattr(exc.value, "__notes__", [])
+
+    # at chi=0.1, k=3 the weights u**d underflow past d = 572.29: d=575 made
+    # select_top_k overflow ln(a)/w on this dataset, d=5000 made a weight 0
+    @pytest.mark.parametrize("d", [600, 5000])
+    def test_weighted_exponent_past_float_range_rejected_before_any_fit(self, monkeypatch, d):
+        dataset, _ = generate_pocket_dataset(small_spec())
+        fits = []
+        monkeypatch.setattr(harness, "fit", lambda *args: fits.append(args))
+        cfg = small_config(strategy=StrategyConfig(StrategyKind.WEIGHTED, chi=0.1, exponent_d=d))
+        with pytest.raises(ConfigError, match="the largest usable exponent_d is 572.29$"):
+            run_trial(dataset, cfg, 0)
+        assert fits == []
+
+    def test_weighted_exponent_at_limit_runs_without_warning(self):
+        # pytest turns warnings into errors, so an overflow in select_top_k fails here
+        dataset, _ = generate_pocket_dataset(small_spec())
+        cfg = small_config(strategy=StrategyConfig(StrategyKind.WEIGHTED, chi=0.1, exponent_d=572))
+        assert len(run_trial(dataset, cfg, 0)) == cfg.rounds + 1
+
+    def test_weighted_exponent_past_float_range_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "data.csv"
+        assert cli.main(["synth", "--n", "900", "--d", "4", "--k", "3", "--beta", "0.05",
+                         "--out", str(csv_path)]) == 0
+        out_dir = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dataset_path={csv_path}\nlabel_column=label\nstrategy=weighted\n"
+                       f"chi=0.1\nexponent_d=600\nn0=30\nrounds=4\nbatch=10\nout_dir={out_dir}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["run", str(cfg)]) == 2
+        assert "the largest usable exponent_d is 572.29" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_failing_round_carries_one_note(self, monkeypatch):
         dataset, _ = generate_pocket_dataset(small_spec())
@@ -273,11 +302,11 @@ class TestGeneratePocketDataset:
         assert a_p == b_p
 
     def test_infeasible_tiny_pocket(self):
-        with pytest.raises(InfeasibleSpecError):
+        with pytest.raises(ConfigError, match=r"beta\*n = 0\.360 rounds to an empty pocket"):
             generate_pocket_dataset(small_spec(n=900, beta=0.0004))
 
     def test_infeasible_pocket_exceeds_class(self):
-        with pytest.raises(InfeasibleSpecError):
+        with pytest.raises(ConfigError, match="class 2: pool_prevalence allocates 180 rows"):
             generate_pocket_dataset(small_spec(beta=0.5, pool_prevalence=(0.5, 0.3, 0.2),
                                                pocket_class=2))
 
@@ -357,5 +386,5 @@ class TestValidateLemma:
                           train_prevalence=tuple([0.1] * 10),
                           pool_prevalence=tuple([0.1] * 10),
                           pocket_class=0, seed=8)
-        with pytest.raises(InfeasibleSpecError):
+        with pytest.raises(ConfigError, match="requires n_s=124 draws but the pool has only 50"):
             validate_lemma(spec, chi=0.05, delta=0.1, repeats=10)

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alselect.errors import InsufficientItemsError
 from alselect.sampling import (_CHUNK, RngState, SelectionStats, select_top_k,
                                uniform_sample)
 
@@ -115,7 +114,7 @@ def oracle_select_top_k(stream, k, rng, stats=None):
             stats.peak_retained = max(stats.peak_retained, len(kept_ids))
 
     if n_seen < k:
-        raise InsufficientItemsError(n_seen, k)
+        raise ValueError(f"requested {k} items but only {n_seen} available")
     if len(chosen := set(kept_ids.tolist())) < k:
         raise ValueError("ids must be distinct")
     return chosen
@@ -169,7 +168,7 @@ class TestSelectTopK:
         assert out == {0, 1, 2, 3}
 
     def test_insufficient(self):
-        with pytest.raises(InsufficientItemsError):
+        with pytest.raises(ValueError, match="requested 2 items but only 1 available"):
             select_top_k([(0, 1.0)], 2, RngState(0))
 
     def test_repeated_ids(self):
@@ -293,7 +292,7 @@ class TestSelectTopK:
             rng, stats = RngState(seed), SelectionStats()
             try:
                 out = select(items, k, CoarseRng(rng) if coarse else rng, stats)
-            except ValueError as exc:  # InsufficientItemsError included
+            except ValueError as exc:
                 out = (type(exc), str(exc))
             assert stats.peak_retained <= k
             results.append((out, rng.uniforms_open(1)[0], stats.items_seen))
@@ -327,7 +326,7 @@ class TestUniformSample:
         assert uniform_sample([4, 7, 9], 3, RngState(0)) == {4, 7, 9}
 
     def test_insufficient(self):
-        with pytest.raises(InsufficientItemsError):
+        with pytest.raises(ValueError, match="requested 3 items but only 2 available"):
             uniform_sample([1, 2], 3, RngState(0))
 
     def test_repeated_ids(self):

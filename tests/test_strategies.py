@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from alselect.classifier import ModelParams, fit
-from alselect.errors import InsufficientItemsError
 from alselect.probs import entropy_lower_bound
 from alselect.sampling import RngState
 from alselect.strategies import StrategyConfig, StrategyKind, score_pool, select_batch
@@ -78,7 +77,7 @@ class TestSelectBatchScores:
             select_batch(StrategyConfig(kind=StrategyKind.GREEDY), np.array(scores), 1, RngState(0))
 
     def test_empty_scores_are_too_few(self):
-        with pytest.raises(InsufficientItemsError):
+        with pytest.raises(ValueError, match="requested 1 items but only 0 available"):
             select_batch(StrategyConfig(kind=StrategyKind.GREEDY), np.array([]), 1, RngState(0))
 
 
@@ -107,7 +106,7 @@ class TestGreedy:
         assert a == b
 
     def test_insufficient(self):
-        with pytest.raises(InsufficientItemsError):
+        with pytest.raises(ValueError, match="requested 3 items but only 2 available"):
             select_batch(self.CFG, make_scores([1.0, 2.0]), 3, RngState(0))
 
 
