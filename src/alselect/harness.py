@@ -23,7 +23,7 @@ from .data import Dataset, standardize_apply, standardize_fit
 from .errors import ConfigError
 from .probs import LemmaBoundInput, LemmaBoundReport, lemma_bound
 from .sampling import RngState, select_top_k, uniform_sample
-from .strategies import StrategyConfig, StrategyKind, score_pool, select_batch
+from .strategies import StrategyConfig, score_pool, select_batch
 
 # stream tags for RngState.derive
 _HOLDOUT = 0
@@ -115,26 +115,6 @@ def holdout_ids(n: int, cfg: ExperimentConfig) -> set[int]:
     return uniform_sample(range(n), size, RngState(cfg.master_seed).derive(_HOLDOUT))
 
 
-def _max_exponent_d(chi: float, k: int) -> float:
-    """Largest WEIGHTED exponent_d whose weights u**d keep every exponent
-    key ln(a) / u**d finite for smoothing floor chi and k classes.
-
-    The smallest score is the entropy of a smoothed one-hot prediction, and
-    the key stays finite for every uniform a >= 2**-53 only while
-    u**d >= 53 ln 2 / DBL_MAX. The largest score is ln k, and (ln k)**d must
-    not overflow; for k = 2 it never does.
-    """
-    dbl_max = float(np.finfo(np.float64).max)
-    top, rest = 1.0 - chi + chi / k, chi / k
-    h_min = -(top * math.log(top) + (k - 1) * rest * math.log(rest))
-    limits = []
-    if h_min < 1.0:
-        limits.append(math.log(53 * math.log(2) / dbl_max) / math.log(h_min))
-    if math.log(k) > 1.0:
-        limits.append(math.log(dbl_max) / math.log(math.log(k)))
-    return min(limits, default=math.inf)
-
-
 def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list[RoundRecord]:
     """One independent trial: shared holdout split, equal-prevalence init,
     then `rounds` iterations of score -> select -> reveal labels -> refit.
@@ -164,14 +144,6 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
             f"n0 + rounds*batch = {cfg.n0 + cfg.rounds * cfg.batch} exceeds "
             f"the {len(remaining)} ids left after the holdout split"
         )
-    if cfg.strategy.kind is StrategyKind.WEIGHTED:
-        d_max = _max_exponent_d(cfg.strategy.chi, dataset.k)
-        if cfg.strategy.exponent_d > d_max:
-            raise ConfigError(
-                f"exponent_d = {cfg.strategy.exponent_d} takes the weights u**exponent_d "
-                f"out of the float range at chi = {cfg.strategy.chi} and k = {dataset.k}; "
-                f"the largest usable exponent_d is {d_max:.2f}"
-            )
 
     init_rng = master.derive(_INIT, trial_index)
     select_rng = master.derive(_SELECT, trial_index)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -24,6 +25,9 @@ _CHUNK = 4096
 # K-th best key first and sorts only the keys that reach it; a smaller merge
 # sorts every candidate. 512 is where the two cost the same (numpy 2.4).
 _PARTITION_SURPLUS = 512
+# The smallest weight w whose log key ln(a) / w stays finite for the
+# smallest uniform a = 2**-53; below it the keys overflow to -inf and tie.
+_MIN_WEIGHT = 53 * math.log(2) / sys.float_info.max
 
 
 class RngState:
@@ -91,13 +95,15 @@ def select_top_k(
 ) -> set[int]:
     """K distinct ids sampled without replacement proportionally to weights.
 
-    Takes (id, weight) pairs; ids must be distinct and weights positive.
+    Takes (id, weight) pairs; ids must be distinct and weights finite and
+    at least 53 ln 2 / DBL_MAX (about 2.04e-307).
     Single forward pass; retains at most K items plus a fixed-size chunk
     buffer. One uniform is consumed per stream element in stream order, so
     output is a pure function of (stream, K, rng seed). Each chunk is merged
     into the retained set by log key descending, ties toward the smaller id.
 
-    Raises ValueError when the stream holds fewer than K items or ids repeat.
+    Raises ValueError when the stream holds fewer than K items, ids repeat
+    or a weight is out of range.
     """
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
@@ -109,9 +115,10 @@ def select_top_k(
     while chunk := list(itertools.islice(items, _CHUNK)):
         ids, weights = zip(*chunk)
         w = np.array(weights, dtype=np.float64)
-        if not (w[w.argmin()] > 0.0 and w[w.argmax()] < math.inf):  # NaN fails both
-            bad = w[~((w > 0.0) & (w < math.inf))][0]
-            raise ValueError(f"weights must be positive and finite, got {float(bad)}")
+        if not (w[w.argmin()] >= _MIN_WEIGHT and w[w.argmax()] < math.inf):  # NaN fails both
+            bad = w[~((w >= _MIN_WEIGHT) & (w < math.inf))][0]
+            raise ValueError(f"weights must be positive and finite, at least "
+                             f"{_MIN_WEIGHT:.4g}, got {float(bad)}")
         ids = np.array(ids, dtype=np.int64)
         neg = np.log(rng.uniforms_open(len(w))) / -w
         if kept_ids is not None:

@@ -17,6 +17,16 @@ import numpy as np
 from .classifier import ModelParams, predict_proba_matrix
 from .sampling import RngState, select_top_k, uniform_sample
 
+# WEIGHTED clips each log weight d*ln(u/u_B) to [-64, 64], which changes no
+# selection. uniforms_open draws multiples of 2**-53 in [2**-53, 1 - 2**-53],
+# so -ln a spans a ratio below e^40.34, and item i beats item j only if
+# w_i/w_j > (-ln a_i)/(-ln a_j) > e^-40.34. At least B items have w >= 1:
+# one with w < e^-40.34 loses to all of them and never makes the batch.
+# Fewer than B items have w > 1: one with w > e^40.34 beats every item
+# with w <= 1 and always makes it. Clipped weights stay on their side of
+# those bounds, no step overflows for any finite d, and d = 0 gives w = 1.0.
+_LOG_W_CLIP = 64.0
+
 
 class StrategyKind(enum.Enum):
     RANDOM = "random"
@@ -32,7 +42,9 @@ class StrategyConfig:
     epsilon applies only to EPS_GREEDY (default 0.05); chi is the smoothing
     floor used when scoring; exponent_d applies only to WEIGHTED, where
     d=1 is plain entropy-proportional sampling, d=0 collapses to uniform,
-    and large d approaches Greedy.
+    and large d approaches Greedy. Every finite d >= 0 runs; once
+    d*ln(u_(B)/u_(B+1)) > 40.4 for the B-th and (B+1)-th largest scores,
+    WEIGHTED returns exactly Greedy's top B.
     """
 
     kind: StrategyKind
@@ -82,8 +94,13 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray, b: int,
         return uniform_sample(range(len(scores)), b, rng)
 
     if cfg.kind is StrategyKind.WEIGHTED:
-        # exponent keys over u^d, streamed through the reservoir
-        return select_top_k(enumerate((scores ** cfg.exponent_d).tolist()), b, rng)
+        # exponent keys over (u/u_B)^d, u_B the B-th largest score, streamed
+        # through the reservoir; scaling every weight by u_B^-d moves no key's rank
+        log_u = np.log(scores)
+        log_u_b = np.partition(log_u, len(log_u) - b)[len(log_u) - b]
+        with np.errstate(over="ignore"):
+            w = np.exp(np.clip(cfg.exponent_d * (log_u - log_u_b), -_LOG_W_CLIP, _LOG_W_CLIP))
+        return select_top_k(enumerate(w.tolist()), b, rng)
 
     # a stable sort on -score: descending score, ties toward the smaller position
     order = np.argsort(-scores, kind="stable")

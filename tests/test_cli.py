@@ -391,6 +391,11 @@ class TestConfigParsing:
         assert cfg.strategy.kind is StrategyKind.WEIGHTED
         assert (cfg.strategy.epsilon, cfg.strategy.chi, cfg.n0, cfg.master_seed) == (0.05, 0.25, 100, 99)
 
+    def test_readme_library_example_runs(self, capsys):
+        (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        exec(compile(block, str(README), "exec"), {})
+        assert re.fullmatch(r"\d+\.\d\d ± \d+\.\d\d\n", capsys.readouterr().out)
+
 
 class TestReport:
     def _write_summary(self, root, ds, strat, mean, std):

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alselect.sampling import (_CHUNK, RngState, SelectionStats, select_top_k,
-                               uniform_sample)
+from alselect.sampling import (_CHUNK, _MIN_WEIGHT, RngState, SelectionStats,
+                               select_top_k, uniform_sample)
 
 
 def oracle_generator(*seed_path):
@@ -50,6 +50,12 @@ class TestRngState:
         r = RngState(0)
         xs = r.uniforms_open(10000)
         assert (xs > 0).all() and (xs < 1).all()
+
+    def test_draws_are_nonzero_multiples_of_2_pow_minus_53(self):
+        # the weighted strategy's exact clip of log weights rests on this
+        m = RngState(1).uniforms_open(100000) * 2.0**53
+        assert (m == np.floor(m)).all()
+        assert m.min() >= 1.0 and m.max() <= 2.0**53 - 1.0
 
     def test_integers_array_matches_scalar(self):
         highs = np.arange(1, 3000)
@@ -98,9 +104,10 @@ def oracle_select_top_k(stream, k, rng, stats=None):
     while chunk := list(itertools.islice(items, _CHUNK)):
         ids, weights = zip(*chunk)
         w = np.array(weights, dtype=np.float64)
-        if not (w.min() > 0.0 and w.max() < math.inf):  # NaN fails both
-            bad = w[~((w > 0.0) & (w < math.inf))][0]
-            raise ValueError(f"weights must be positive and finite, got {float(bad)}")
+        if not (w.min() >= _MIN_WEIGHT and w.max() < math.inf):  # NaN fails both
+            bad = w[~((w >= _MIN_WEIGHT) & (w < math.inf))][0]
+            raise ValueError(f"weights must be positive and finite, at least "
+                             f"{_MIN_WEIGHT:.4g}, got {float(bad)}")
         ids = np.array(ids, dtype=np.int64)
         keys = np.log(rng.uniforms_open(len(w))) / w
         if kept_ids is not None:
@@ -144,7 +151,7 @@ WEIGHT_KINDS = {
 def top_k_cases(draw):
     """(items, K, seed, coarse) with n in [1, 3*_CHUNK+1] and K in [1, n+1];
     ids are a permutation of a sparse range, and at most one id repeats or
-    one weight is zero, negative, inf or NaN."""
+    one weight is zero, below the key range, negative, inf or NaN."""
     n = draw(st.one_of(st.integers(1, 40),
                        st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 3 * _CHUNK + 1]),
                        st.integers(1, 3 * _CHUNK + 1)))
@@ -157,7 +164,7 @@ def top_k_cases(draw):
     if fault == "repeat":
         ids[pos] = ids[draw(st.integers(0, n - 1))]
     elif fault == "weight":
-        weights[pos] = draw(st.sampled_from([0.0, -1.0, math.inf, math.nan]))
+        weights[pos] = draw(st.sampled_from([0.0, 1e-310, -1.0, math.inf, math.nan]))
     items = list(zip(ids.tolist(), weights.tolist()))
     return items, k, draw(st.integers(0, 2**16)), draw(st.booleans())
 
@@ -183,6 +190,23 @@ class TestSelectTopK:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="positive and finite"):
                 select_top_k([(0, 1.0), (1, bad)], 1, RngState(0))
+
+    @pytest.mark.parametrize("tiny", [1e-310, 5e-324])
+    def test_rejects_weight_below_key_range(self, tiny):
+        # ln(a) / w overflowed to -inf here, so these items tied and went by id:
+        # id 0 won a 1-of-5 draw 88.5% of the time where its weight gives 12.5%
+        items = [(0, tiny), (1, tiny), (2, tiny), (3, tiny), (4, 4 * tiny)]
+        with pytest.raises(ValueError, match=f"at least 2.044e-307, got {tiny}$"):
+            select_top_k(items, 1, RngState(0))
+
+    def test_smallest_weight_keeps_keys_finite(self):
+        # the smallest uniform 2**-53 over the smallest weight is -DBL_MAX, not -inf
+        class SmallestRng:
+            def uniforms_open(self, size):
+                return np.full(size, 2.0**-53)
+
+        with np.errstate(all="raise"):
+            assert select_top_k([(0, _MIN_WEIGHT), (1, 1.0)], 1, SmallestRng()) == {1}
 
     def test_determinism(self):
         items = [(i, 0.5 + i) for i in range(50)]

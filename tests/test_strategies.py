@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alselect.classifier import ModelParams, fit
 from alselect.probs import entropy_lower_bound
@@ -178,6 +180,35 @@ class TestWeighted:
             if select_batch(cfg, scores, 3, rng) == top:
                 hits += 1
         assert hits / draws >= 0.99
+
+    def test_greedy_limit_is_exact(self):
+        # once d*ln(u_(B)/u_(B+1)) > 40.4 the (B+1)-th best item would need
+        # -ln a to span a ratio past e^40.34, which no double uniform does
+        b = 10
+        for seed in range(200):
+            u = make_scores(np.random.default_rng(seed).permutation(np.linspace(0.2, 2.0, 40)))
+            ranked = np.sort(u)[::-1]
+            d_min = 40.41 / math.log(ranked[b - 1] / ranked[b])
+            greedy = select_batch(StrategyConfig(kind=StrategyKind.GREEDY), u, b, RngState(seed))
+            for d in (d_min, 1e6, 1e300):
+                cfg = StrategyConfig(kind=StrategyKind.WEIGHTED, exponent_d=d)
+                assert select_batch(cfg, u, b, RngState(seed)) == greedy
+
+    @given(scores=st.lists(st.one_of(st.sampled_from([0.05, 0.3, 1.0, 1.1, 2.0]),
+                                     st.floats(0.01, 3.0)), min_size=1, max_size=60),
+           d=st.one_of(st.sampled_from([0.0, 1.0, 16.0, 64.0, 600.0, 5000.0, 1e6]),
+                       st.floats(0.0, 1e6)),
+           b_frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_log_space_oracle(self, scores, d, b_frac, seed):
+        # item i's exponent key ln(a_i) / u_i^d ranks as -(ln(-ln a_i) - d ln u_i),
+        # finite for every d and u drawn here; ties go to the smaller position
+        u = make_scores(scores)
+        b = 1 + int(b_frac * (len(u) - 1))
+        log_key = np.log(-np.log(RngState(seed).uniforms_open(len(u)))) - d * np.log(u)
+        expected = set(np.lexsort((np.arange(len(u)), log_key))[:b].tolist())
+        cfg = StrategyConfig(kind=StrategyKind.WEIGHTED, exponent_d=d)
+        assert select_batch(cfg, u, b, RngState(seed)) == expected
 
     def test_d_one_matches_direct_key_sampling(self):
         # with d=1 the weights are the raw scores; spot-check determinism
