@@ -1,9 +1,9 @@
 """Multinomial logistic regression trained by damped Newton (IRLS).
 
-Deterministic by construction: zero initialization, fixed iteration order,
-no randomness anywhere. The bias is a constant-one feature column and is
-excluded from the L2 penalty so the lambda->inf limit predicts exactly the
-uniform distribution.
+Deterministic by construction: zero initialization (or a caller's warm
+start), fixed iteration order, no randomness anywhere. The bias is a
+constant-one feature column and is excluded from the L2 penalty so the
+lambda->inf limit predicts exactly the uniform distribution.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Newton iteration cap; no fit in the tests or the benchmark takes more than 13
+# Newton iteration cap; no fit in the tests or the benchmark takes more than 13,
+# cold or warm-started
 _MAX_ITERS = 500
 
 
@@ -70,9 +71,8 @@ def loss_and_grad(W, Xa, labels, k, l2_reg):
         P = _softmax_rows(Xa @ W.T)
         logp = np.log(np.clip(P[np.arange(n), labels], 1e-300, None))
         loss = -logp.mean() + 0.5 * l2_reg * float((W[:, :-1] ** 2).sum())
-        Y = np.zeros((n, k))
-        Y[np.arange(n), labels] = 1.0
-        G = (P - Y).T @ Xa / n
+        P[np.arange(n), labels] -= 1.0  # P - Y for the one-hot Y, in place
+        G = P.T @ Xa / n
         G[:, :-1] += l2_reg * W[:, :-1]
     return loss, G
 
@@ -90,8 +90,9 @@ def _hessian(W, Xa, l2_reg):
 
 
 def fit(features, labels, n_classes: int, cfg: FitConfig = FitConfig(),
-        loss_history: list | None = None) -> ModelParams:
-    """Train from zero weights; stop at _MAX_ITERS or gradient inf-norm < tol.
+        loss_history: list | None = None, init: ModelParams | None = None) -> ModelParams:
+    """Train from `init`'s weights (a copy; zero weights when None); stop at
+    _MAX_ITERS or gradient inf-norm < tol.
 
     Each iteration takes the min-norm Newton step (the Hessian is singular
     along a shift shared by all classes) and halves it until the Armijo
@@ -99,7 +100,8 @@ def fit(features, labels, n_classes: int, cfg: FitConfig = FitConfig(),
     Hessian is (k*(d+1))^2, so the solver targets small k*d like the
     workloads here. `n_classes` is declared by the dataset: classes absent
     from `labels` simply receive no gradient pull. Pass a list as
-    `loss_history` to collect the per-iteration loss.
+    `loss_history` to collect the per-iteration loss. A warm start stops at
+    a different point inside `tol` than a cold one.
     """
     Xa = _augment(features)
     y = np.asarray(labels, dtype=np.int64)
@@ -113,7 +115,13 @@ def fit(features, labels, n_classes: int, cfg: FitConfig = FitConfig(),
     if y.min() < 0 or y.max() >= n_classes:
         raise ValueError("labels outside [0, n_classes)")
 
-    W = np.zeros((n_classes, Xa.shape[1]))
+    if init is None:
+        W = np.zeros((n_classes, Xa.shape[1]))
+    elif (init.k, init.d) != (n_classes, Xa.shape[1] - 1):
+        raise ValueError(f"init model has k={init.k}, d={init.d}; "
+                         f"expected k={n_classes}, d={Xa.shape[1] - 1}")
+    else:
+        W = init.weights.copy()
     loss, G = loss_and_grad(W, Xa, y, n_classes, cfg.l2_reg)
     for _ in range(_MAX_ITERS):
         if loss_history is not None:

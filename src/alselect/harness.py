@@ -122,7 +122,8 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
     The round-0 record is the pre-query baseline (the classifier fit on the
     initial labeled set). Standardization is fit on the initial labeled
     rows only and frozen for the whole trial. The oracle is the dataset's
-    ground truth.
+    ground truth. Round 0's fit starts from zero weights; every later round
+    warm-starts from the previous round's model, so no state crosses trials.
 
     The split is one state per dataset row (pool, labeled or holdout), so
     its parts are disjoint and cover the dataset by construction. The
@@ -155,6 +156,7 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
     Z = standardize_apply(std, dataset.features)
 
     records: list[RoundRecord] = []
+    model = None
     for r in range(cfg.rounds + 1):
         t0 = time.perf_counter()
         selected = ()
@@ -175,7 +177,7 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
                 state[selected] = _ROW_LABELED  # oracle: ground-truth labels revealed
 
             lab_idx = np.flatnonzero(state == _ROW_LABELED)
-            model = fit(Z[lab_idx], dataset.labels[lab_idx], dataset.k, cfg.fit)
+            model = fit(Z[lab_idx], dataset.labels[lab_idx], dataset.k, cfg.fit, init=model)
             acc = accuracy(model, Z[hold_idx], dataset.labels[hold_idx])
         except Exception as exc:
             exc.add_note(f"in trial {trial_index}, round {r}")

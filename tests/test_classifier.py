@@ -1,6 +1,6 @@
 """Logistic-regression learner tests: gradient correctness against central
 finite differences, monotone loss, convergence to the gradient tolerance,
-boundary behaviors, and determinism."""
+warm starts, boundary behaviors, and determinism."""
 
 import numpy as np
 import pytest
@@ -135,6 +135,52 @@ class TestFit:
             fit(np.zeros((3, 2)), np.array([0, 1, 2]), 2, FitConfig())
         with pytest.raises(ValueError):
             FitConfig(tol=0.0)
+
+
+class TestWarmStart:
+    def test_shape_mismatch_rejected(self):
+        X = np.zeros((4, 2))
+        y = np.array([0, 1, 2, 0])
+        for k, d in ((2, 2), (3, 3)):
+            init = ModelParams(weights=np.zeros((k, d + 1)), k=k, d=d)
+            with pytest.raises(ValueError, match="init model"):
+                fit(X, y, 3, FitConfig(), init=init)
+
+    def test_init_weights_not_mutated(self):
+        X, y = line_search_problems()[0]
+        init = fit(X[:10], y[:10], 3, FitConfig())
+        before = init.weights.copy()
+        fit(X, y, 3, FitConfig(), init=init)
+        assert np.array_equal(init.weights, before)
+        # already converged on its own rows: no step, equal weights, no alias
+        again = fit(X[:10], y[:10], 3, FitConfig(), init=init)
+        assert np.array_equal(again.weights, before)
+        assert not np.shares_memory(again.weights, init.weights)
+
+    def test_grown_set_matches_cold_fit(self):
+        # a trial in miniature: the labeled set grows by 10 rows a round and
+        # each fit starts from the previous round's model. A single warm fit
+        # may take one step more than a cold one; over the trial it takes
+        # fewer (at most 72% as many over 100 seeds). tol is tighter than the
+        # default so that the two stopping points, each within tol of the
+        # optimum, agree to 1e-6 in probability
+        rng = np.random.default_rng(7)
+        cfg = FitConfig(tol=1e-8)
+        y = rng.integers(0, 3, size=150)
+        X = rng.standard_normal((150, 4)) + 2.0 * np.eye(3, 4)[y]
+        prev, warm_iters, cold_iters = None, 0, 0
+        for n in range(50, 151, 10):
+            warm_losses, cold_losses = [], []
+            warm = fit(X[:n], y[:n], 3, cfg, loss_history=warm_losses, init=prev)
+            cold = fit(X[:n], y[:n], 3, cfg, loss_history=cold_losses)
+            _, G = loss_and_grad(warm.weights, _augment(X[:n]), y[:n], 3, cfg.l2_reg)
+            assert np.abs(G).max() < cfg.tol
+            np.testing.assert_allclose(predict_proba_matrix(warm, X[:n]),
+                                       predict_proba_matrix(cold, X[:n]), rtol=0, atol=1e-6)
+            warm_iters += len(warm_losses)
+            cold_iters += len(cold_losses)
+            prev = warm
+        assert warm_iters < cold_iters
 
 
 class TestPredictProba:

@@ -163,11 +163,11 @@ class TestRunTrial:
         real = harness.fit
         calls = []
 
-        def fail_third_fit(*args):
+        def fail_third_fit(*args, **kwargs):
             calls.append(1)
             if len(calls) == 3:
                 raise ArithmeticError("solver")
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, "fit", fail_third_fit)
         with pytest.raises(ArithmeticError) as exc:
@@ -220,6 +220,49 @@ class TestRunTrial:
         for rec in records[1:]:
             assert rec.selected_ids == tuple(pool[:cfg.batch])
             pool = pool[cfg.batch:]
+
+    def test_fit_warm_starts_from_previous_round(self, monkeypatch):
+        dataset, _ = generate_pocket_dataset(small_spec())
+        cfg = small_config(kind=StrategyKind.WEIGHTED)
+        real = harness.fit
+        calls = []  # (init, returned model) per fit, in call order
+
+        def spy(*args, init=None, **kwargs):
+            model = real(*args, init=init, **kwargs)
+            calls.append((init, model))
+            return model
+
+        monkeypatch.setattr(harness, "fit", spy)
+        run_experiment(dataset, cfg)
+        assert len(calls) == cfg.trials * (cfg.rounds + 1)
+        for i, (init, _) in enumerate(calls):
+            if i % (cfg.rounds + 1) == 0:
+                assert init is None
+            else:
+                assert init is calls[i - 1][1]
+
+    def test_trial_alone_matches_trial_in_experiment(self, monkeypatch):
+        # no state leaks across trials: trial 1 run alone gives the same
+        # records and fits bitwise the same models as inside the experiment
+        dataset, _ = generate_pocket_dataset(small_spec())
+        cfg = small_config(kind=StrategyKind.WEIGHTED)
+        real = harness.fit
+        weights = []
+
+        def spy(*args, **kwargs):
+            model = real(*args, **kwargs)
+            weights.append(model.weights.tobytes())
+            return model
+
+        monkeypatch.setattr(harness, "fit", spy)
+        strip = lambda r: (r.trial, r.round, r.selected_ids, r.labeled_count,
+                           r.holdout_accuracy)
+        within = [strip(r) for r in run_experiment(dataset, cfg).records if r.trial == 1]
+        within_weights = weights[cfg.rounds + 1:]
+        weights.clear()
+        alone = [strip(r) for r in run_trial(dataset, cfg, 1)]
+        assert alone == within
+        assert weights == within_weights
 
 
 class TestRunExperiment:
