@@ -8,6 +8,7 @@ lambda->inf limit predicts exactly the uniform distribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,10 @@ class FitConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.l2_reg < 0:
-            raise ValueError(f"l2_reg must be >= 0, got {self.l2_reg}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not (math.isfinite(self.l2_reg) and self.l2_reg >= 0):
+            raise ValueError(f"l2_reg must be finite and >= 0, got {self.l2_reg}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ exit code and prints it with its notes.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -234,9 +235,8 @@ def cmd_synth(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "x", encoding="utf-8") as fh:
         fh.write(",".join(dataset.feature_names) + ",label\n")
-        for i in range(dataset.n):
-            feats = ",".join(repr(float(v)) for v in dataset.features[i])
-            fh.write(f"{feats},{dataset.label_names[dataset.labels[i]]}\n")
+        for row, label in zip(dataset.features.tolist(), dataset.labels.tolist()):
+            fh.write(f"{','.join(map(repr, row))},{dataset.label_names[label]}\n")
     _write_json(sidecar, {"pocket_ids": sorted(pocket_ids), "beta": spec.beta, "n": spec.n},
                 sort_keys=False)
     print(f"wrote {dataset.n} rows to {out} ({len(pocket_ids)} pocket ids in sidecar)")
@@ -286,16 +286,18 @@ def cmd_report(args) -> int:
         if strat not in strategies:
             strategies.append(strat)
     if args.format == "md":
-        print("| dataset | " + " | ".join(strategies) + " |")
+        def md_row(row):
+            return "| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |"
+
+        print(md_row(["dataset", *strategies]))
         print("|---" * (len(strategies) + 1) + "|")
         for ds in datasets:
-            row = [cells.get((ds, st), "-") for st in strategies]
-            print(f"| {ds} | " + " | ".join(row) + " |")
+            print(md_row([ds, *(cells.get((ds, st), "-") for st in strategies)]))
     else:
-        print("dataset," + ",".join(strategies))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(["dataset", *strategies])
         for ds in datasets:
-            row = [cells.get((ds, st), "") for st in strategies]
-            print(ds + "," + ",".join(row))
+            writer.writerow([ds, *(cells.get((ds, st), "") for st in strategies)])
     return EXIT_OK
 
 

@@ -5,9 +5,10 @@ separated, UTF-8 (a leading byte-order mark is skipped), mandatory header.
 Records and quoting follow the `csv` module's defaults: a `"`-quoted cell
 may hold commas, newlines and `""` for a quote. Feature cells take Python
 `float` syntax and must be finite. A blank line, a row with the wrong
-number of cells and a non-finite or non-numeric cell are refused, naming
-the row (and, for a cell, the column). Labels may be arbitrary strings;
-they are mapped to dense integers by first appearance.
+number of cells, a label cell longer than `csv.field_size_limit()` and a
+non-finite or non-numeric cell are refused, naming the row (and, for a
+cell, the column). Labels may be arbitrary strings; they are mapped to
+dense integers by first appearance.
 """
 
 from __future__ import annotations
@@ -68,19 +69,25 @@ def load_csv(path, label_column: str) -> Dataset:
     is `label_names[i]`, and there must be at least two. The file must be
     UTF-8 and feature cells must parse as finite floats.
 
-    `csv.reader` alone decides what a record is. When every record has the
-    header's width, one `np.loadtxt` call parses the feature cells in C,
-    starting at the first physical line after the header; its result is
-    kept only if it has as many rows as `csv.reader` found and is all
-    finite. Otherwise (a ragged row, a cell numpy refuses but `float`
-    takes, such as `1_000`, or a bad cell) `_parse_records` parses the
-    file cell by cell and raises the first fault in file order.
+    `csv.reader` reads the header row. One `np.loadtxt` call then splits
+    the records and parses them, feature cells as float64 and label cells
+    as strings; numpy's tokenizer splits records as `csv.reader` does,
+    except that it skips empty lines. Its result is kept only if no two
+    line ends follow each other in the file, every feature is finite and
+    no label is longer than `csv.field_size_limit()`. Otherwise (a blank
+    line, a ragged row, a cell numpy refuses but `float` takes, such as
+    `1_000`, or a bad cell) `_parse_records` reads the file again with
+    `csv.reader` and parses it cell by cell, raising the first fault in
+    file order.
     """
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:
+                raise DataFormatError(f"{path}: header row: {exc}") from None
             if not header or header == [""]:
                 raise DataFormatError(f"{path}: file is empty or has no header row")
             if label_column not in header:
@@ -88,32 +95,17 @@ def load_csv(path, label_column: str) -> Dataset:
             label_idx = header.index(label_column)
             feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
             header_lines = reader.line_num  # a quoted header cell may span lines
-
-            raw_labels: list[str] = []
-            ragged = False
-            for row in reader:
-                if len(row) != len(header):
-                    ragged = True  # reported by _parse_records, after any earlier bad cell
-                    break
-                raw_labels.append(row[label_idx])
-            if not raw_labels and not ragged:
+            if not fh.read(1):  # np.loadtxt would warn "input contained no data"
                 raise DataFormatError(f"{path}: file is empty or has no header row")
 
-            features = None
-            if not ragged:
+            parsed = None
+            if not _has_blank_line(path):
                 fh.seek(0)
-                try:
-                    features = np.loadtxt(
-                        fh, delimiter=",", quotechar='"', comments=None,
-                        skiprows=header_lines,
-                        usecols=[i for i in range(len(header)) if i != label_idx],
-                        ndmin=2, dtype=np.float64)
-                except ValueError:
-                    pass  # a cell numpy refuses; _parse_records decides whether float() takes it
-            if (features is None or features.shape[0] != len(raw_labels)
-                    or not np.isfinite(features).all()):
+                parsed = _parse_table(fh, len(header), label_idx, header_lines)
+            if parsed is None:
                 fh.seek(0)
-                features, raw_labels = _parse_records(path, csv.reader(fh), label_idx)
+                parsed = _parse_records(path, csv.reader(fh), label_idx)
+            features, raw_labels = parsed
     except UnicodeDecodeError:
         raise DataFormatError(f"{path}: file is not UTF-8 text") from None
     except OSError as exc:
@@ -137,34 +129,86 @@ def load_csv(path, label_column: str) -> Dataset:
     )
 
 
+_SCAN_BYTES = 1 << 18
+
+
+def _has_blank_line(path) -> bool:
+    r"""Whether two line ends follow each other anywhere in the file (`\n\n`,
+    `\n\r` or `\r\r`; `\r\n` is one line end), quoted or not.
+
+    numpy skips the empty line between them, where `csv.reader` yields an
+    empty record or keeps the line break in a quoted cell.
+    """
+    with open(path, "rb") as fh:
+        tail = b""
+        while block := fh.read(_SCAN_BYTES):
+            a = np.frombuffer(tail + block, dtype=np.uint8)
+            ends = np.flatnonzero((a == ord("\n")) | (a == ord("\r")))
+            second = ends[1:][np.diff(ends) == 1]  # line ends right after another one
+            if (a[second - 1] != ord("\r")).any() or (a[second] != ord("\n")).any():
+                return True
+            tail = block[-1:]
+    return False
+
+
+def _parse_table(fh, width: int, label_idx: int,
+                 header_lines: int) -> tuple[np.ndarray, list[str]] | None:
+    """Parse every record after the header in one `np.loadtxt` call.
+
+    Returns the features and the raw label strings, or None where numpy
+    refuses a record or its result may differ from `_parse_records`'s: a
+    non-finite feature or a label longer than `csv.field_size_limit()`.
+    """
+    fields = [f"c{i}" for i in range(width)]
+    dtype = [(name, object if i == label_idx else np.float64) for i, name in enumerate(fields)]
+    try:
+        table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                           skiprows=header_lines, dtype=dtype, ndmin=1)
+    except ValueError:
+        return None  # a cell or record numpy refuses; _parse_records decides
+    raw_labels = table[fields.pop(label_idx)].tolist()
+    features = np.empty((len(table), len(fields)))
+    for j, name in enumerate(fields):
+        features[:, j] = table[name]
+    if (not np.isfinite(features).all()
+            or max(map(len, raw_labels)) > csv.field_size_limit()):
+        return None
+    return features, raw_labels
+
+
 def _parse_records(path, reader, label_idx: int) -> tuple[np.ndarray, list[str]]:
     """Parse every record after the header with Python `float`, cell by cell.
 
-    Raises the first fault in file order: a row whose width differs from
-    the header's, or a feature cell that is not a finite float (naming its
-    row and column). Returns the features and the raw label strings.
+    Raises the first fault in file order: a record `csv.reader` refuses
+    (such as a cell longer than `csv.field_size_limit()`), a row whose
+    width differs from the header's, or a feature cell that is not a
+    finite float (naming its row and column). Returns the features and the
+    raw label strings.
     """
     header = next(reader)
     rows: list[list[float]] = []
     raw_labels: list[str] = []
-    for rownum, row in enumerate(reader):
-        if len(row) != len(header):
-            raise DataFormatError(f"{path}: row {rownum} has {len(row)} cells, "
-                                  f"expected {len(header)}")
-        vals = []
-        for i, cell in enumerate(row):
-            if i == label_idx:
-                continue
-            try:
-                v = float(cell)
-            except ValueError:
-                v = math.nan
-            if not math.isfinite(v):
-                raise DataFormatError(f"{path}: non-numeric cell {cell!r} "
-                                      f"at row={rownum}, col={header[i]!r}")
-            vals.append(v)
-        rows.append(vals)
-        raw_labels.append(row[label_idx])
+    try:
+        for rownum, row in enumerate(reader):
+            if len(row) != len(header):
+                raise DataFormatError(f"{path}: row {rownum} has {len(row)} cells, "
+                                      f"expected {len(header)}")
+            vals = []
+            for i, cell in enumerate(row):
+                if i == label_idx:
+                    continue
+                try:
+                    v = float(cell)
+                except ValueError:
+                    v = math.nan
+                if not math.isfinite(v):
+                    raise DataFormatError(f"{path}: non-numeric cell {cell!r} "
+                                          f"at row={rownum}, col={header[i]!r}")
+                vals.append(v)
+            rows.append(vals)
+            raw_labels.append(row[label_idx])
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: row {len(rows)}: {exc}") from None
     return np.asarray(rows, dtype=np.float64), raw_labels
 
 

@@ -1,6 +1,9 @@
 """CLI surface tests: config parsing, exit codes, output files, rendering."""
 
+import csv
 import dataclasses
+import hashlib
+import io
 import json
 import os
 import re
@@ -101,6 +104,13 @@ class TestSynth:
         a = make_synth(capsys, tmp_path, "a.csv", seed=9)
         b = make_synth(capsys, tmp_path, "b.csv", seed=9)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bytes_pinned(self, capsys, tmp_path):
+        # synth's bytes are part of the reproducibility contract: a faster row
+        # formatter must write exactly these
+        out = make_synth(capsys, tmp_path)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "dcf21c24d79fca4c9d68f932a6b5b0e8d22bc774daea95d438b2ac539420b08f")
 
     def test_bad_spec(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "synth", "--n", "100", "--d", "1", "--k", "3",
@@ -227,6 +237,34 @@ class TestRun:
         rc, _, err = run_cli(capsys, "run", str(cfg))
         assert rc == EXIT_CONFIG
         assert "n0" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("tol", "nan", "tol must be finite and > 0, got nan"),
+        ("tol", "inf", "tol must be finite and > 0, got inf"),
+        ("l2_reg", "nan", "l2_reg must be finite and >= 0, got nan"),
+        ("l2_reg", "inf", "l2_reg must be finite and >= 0, got inf"),
+        ("l2_reg", "-inf", "l2_reg must be finite and >= 0, got -inf"),
+    ])
+    def test_non_finite_fit_setting_is_config_error(self, capsys, tmp_path, monkeypatch,
+                                                    key, value, message):
+        csv_path = make_synth(capsys, tmp_path)
+        monkeypatch.setattr(cli, "load_csv", lambda *args: pytest.fail("loaded data"))
+        cfg = write_config(tmp_path, csv_path, tmp_path / "o", **{key: value})
+        rc, out, err = run_cli(capsys, "run", str(cfg))
+        assert rc == EXIT_CONFIG
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_oversized_cell_is_data_error(self, capsys, tmp_path):
+        csv_path = tmp_path / "long.csv"
+        csv_path.write_text("x,label\n1.0,a\n2.0," + "b" * 140_000 + "\n3.0,c\n",
+                            encoding="utf-8")
+        rc, out, err = run_cli(capsys, "run", str(write_config(tmp_path, csv_path, tmp_path / "o")))
+        assert rc == EXIT_DATA
+        assert out == ""
+        assert err == f"error: {csv_path}: row 1: field larger than field limit (131072)\n"
         assert not (tmp_path / "o").exists()
 
     def test_one_label_csv_is_data_error(self, capsys, tmp_path):
@@ -428,6 +466,18 @@ class TestReport:
         rc, out, _ = run_cli(capsys, "report", str(root), "--format", "csv")
         assert rc == EXIT_OK
         assert out.splitlines()[0] == "dataset,random"
+
+    def test_dataset_name_with_comma_quote_and_pipe(self, capsys, tmp_path):
+        root = tmp_path / "res"
+        name = 'a,b "c" |d.csv'
+        self._write_summary(root, name, "random", 0.9, 0.01)
+        rc, out, _ = run_cli(capsys, "report", str(root), "--format", "csv")
+        assert rc == EXIT_OK
+        assert list(csv.reader(io.StringIO(out))) == [["dataset", "random"],
+                                                      [name, "90.00 ± 1.00"]]
+        rc, out, _ = run_cli(capsys, "report", str(root), "--format", "md")
+        assert rc == EXIT_OK
+        assert out.splitlines()[2] == '| a,b "c" \\|d.csv | 90.00 ± 1.00 |'
 
     def test_missing_dir(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "report", str(tmp_path / "nothing"))

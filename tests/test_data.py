@@ -283,11 +283,77 @@ class TestLoadCsv:
         assert ds.features.tolist() == [[1.5, -2e-3], [3.0, 4.0]]
         assert ds.label_names == ("a, \nb", "c")
 
-    def test_numeric_pass_with_other_row_count_is_not_used(self, tmp_path, monkeypatch):
-        loadtxt = np.loadtxt
-        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: loadtxt(*args, **kwargs)[:1])
-        p = write(tmp_path, "f1,y\n1.0,a\n2.0,b\n")
-        assert load_csv(p, "y").features.tolist() == [[1.0], [2.0]]
+    @pytest.mark.parametrize("text, expected", [
+        ("f1,y\n1.0,a\n\n2.0,b\n", "row 1 has 0 cells, expected 2"),
+        ("f1,y\r\n1.0,a\r\n\r\n2.0,b\r\n", "row 1 has 0 cells, expected 2"),
+        ("f1,y\r1.0,a\r\r2.0,b\r", "row 1 has 0 cells, expected 2"),
+        ('f1,y\n1.0,"a\n\nb"\n2.0,c\n', ("a\n\nb", "c")),
+        ('f1,y\r\n1.0,"a\r\n\r\nb"\r\n2.0,c\r\n', ("a\r\n\r\nb", "c")),
+    ], ids=["between_rows", "between_rows_crlf", "between_rows_cr",
+            "in_quoted_label", "in_quoted_label_crlf"])
+    def test_blank_line_goes_to_per_cell_parse(self, tmp_path, monkeypatch, text, expected):
+        # numpy skips an empty line, quoted or not, where csv.reader does not
+        calls = []
+        real = alselect.data._parse_records
+        monkeypatch.setattr(alselect.data, "_parse_records",
+                            lambda *args: calls.append(1) or real(*args))
+        p = write(tmp_path, text)
+        if isinstance(expected, str):
+            with pytest.raises(DataFormatError) as exc:
+                load_csv(p, "y")
+            assert str(exc.value) == f"{p}: {expected}"
+        else:
+            ds = load_csv(p, "y")
+            assert ds.label_names == expected
+            assert ds.features.tolist() == [[1.0], [2.0]]
+        assert calls == [1]
+
+    def test_plain_file_reads_only_the_header_with_csv_reader(self, tmp_path, monkeypatch):
+        rows = []
+        real = csv.reader
+
+        class CountingReader:
+            def __init__(self, *args, **kwargs):
+                self._reader = real(*args, **kwargs)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                rows.append(next(self._reader))
+                return rows[-1]
+
+            @property
+            def line_num(self):
+                return self._reader.line_num
+
+        monkeypatch.setattr(csv, "reader", CountingReader)
+        p = write(tmp_path, 'f1,"y\r\n"\r\n1.5,"a\nb"\r\n2.5,c\r3.5,"a\nb"\n')
+        ds = load_csv(p, "y\r\n")
+        assert rows == [["f1", "y\r\n"]]
+        assert ds.features.tolist() == [[1.5], [2.5], [3.5]]
+        assert ds.label_names == ("a\nb", "c")
+
+    @pytest.mark.parametrize("text, blank", [
+        ("a\r\nb\r\nc\r\n", False), ("a\rb\nc\r", False), ("abc", False), ("\r\n", False),
+        ("a\n\nb", True), ("a\n\rb", True), ("a\r\rb", True), ("a\r\n\r\nb", True),
+        ("a\r\r\nb", True), ("a\r\n\nb", True),
+    ])
+    @pytest.mark.parametrize("scan_bytes", [1, 2, 3, 1 << 18])
+    def test_blank_line_scan_across_blocks(self, tmp_path, monkeypatch, text, blank, scan_bytes):
+        monkeypatch.setattr(alselect.data, "_SCAN_BYTES", scan_bytes)
+        assert alselect.data._has_blank_line(write(tmp_path, text)) is blank
+
+    @pytest.mark.parametrize("text, expected", [
+        ("f1,y\n1.0,a\n2.0,{long}\n", "row 1: field larger than field limit (131072)"),
+        ('f1,y\n1.0,a\n2.0,"{long}"\n', "row 1: field larger than field limit (131072)"),
+        ("f1,{long}\n1.0,a\n", "header row: field larger than field limit (131072)"),
+    ], ids=["label", "quoted_label", "header"])
+    def test_cell_over_field_limit_names_row(self, tmp_path, text, expected):
+        p = write(tmp_path, text.format(long="x" * 140_000))
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(p, "y")
+        assert str(exc.value) == f"{p}: {expected}"
 
     @given(csv_texts())
     @settings(max_examples=300, deadline=None)
