@@ -14,5 +14,6 @@ from .harness import (ExperimentConfig, ExperimentResult, LemmaValidationReport,
                       validate_lemma)
 from .probs import (LemmaBoundInput, LemmaBoundReport, entropy_lower_bound,
                     entropy_ratio_bound, lemma_bound)
-from .sampling import RngState, SelectionStats, select_top_k, uniform_sample
+from .sampling import (RngState, SelectionStats, select_positions, select_top_k,
+                       uniform_sample)
 from .strategies import StrategyConfig, StrategyKind, score_pool, select_batch

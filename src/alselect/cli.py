@@ -286,8 +286,13 @@ def cmd_report(args) -> int:
         if strat not in strategies:
             strategies.append(strat)
     if args.format == "md":
+        def md_cell(cell):
+            # a line break would end the table row; <br> keeps it inside the cell
+            cell = cell.replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
+            return cell.replace("|", "\\|")
+
         def md_row(row):
-            return "| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |"
+            return "| " + " | ".join(map(md_cell, row)) + " |"
 
         print(md_row(["dataset", *strategies]))
         print("|---" * (len(strategies) + 1) + "|")

@@ -5,7 +5,7 @@ separated, UTF-8 (a leading byte-order mark is skipped), mandatory header.
 Records and quoting follow the `csv` module's defaults: a `"`-quoted cell
 may hold commas, newlines and `""` for a quote. Feature cells take Python
 `float` syntax and must be finite. A blank line, a row with the wrong
-number of cells, a label cell longer than `csv.field_size_limit()` and a
+number of cells, a cell longer than `csv.field_size_limit()` and a
 non-finite or non-numeric cell are refused, naming the row (and, for a
 cell, the column). Labels may be arbitrary strings; they are mapped to
 dense integers by first appearance.
@@ -72,13 +72,13 @@ def load_csv(path, label_column: str) -> Dataset:
     `csv.reader` reads the header row. One `np.loadtxt` call then splits
     the records and parses them, feature cells as float64 and label cells
     as strings; numpy's tokenizer splits records as `csv.reader` does,
-    except that it skips empty lines. Its result is kept only if no two
-    line ends follow each other in the file, every feature is finite and
-    no label is longer than `csv.field_size_limit()`. Otherwise (a blank
-    line, a ragged row, a cell numpy refuses but `float` takes, such as
-    `1_000`, or a bad cell) `_parse_records` reads the file again with
-    `csv.reader` and parses it cell by cell, raising the first fault in
-    file order.
+    except that it skips empty lines and takes cells of any length. Its
+    result is kept only if no two line ends follow each other in the file,
+    no line and no label is longer than `csv.field_size_limit()`, and every
+    feature is finite. Otherwise (a blank line, a long line, a ragged row, a
+    cell numpy refuses but `float` takes, such as `1_000`, or a bad cell)
+    `_parse_records` reads the file again with `csv.reader` and parses it
+    cell by cell, raising the first fault in file order.
     """
     path = Path(path)
     try:
@@ -99,7 +99,7 @@ def load_csv(path, label_column: str) -> Dataset:
                 raise DataFormatError(f"{path}: file is empty or has no header row")
 
             parsed = None
-            if not _has_blank_line(path):
+            if not _needs_per_cell_parse(path):
                 fh.seek(0)
                 parsed = _parse_table(fh, len(header), label_idx, header_lines)
             if parsed is None:
@@ -132,23 +132,37 @@ def load_csv(path, label_column: str) -> Dataset:
 _SCAN_BYTES = 1 << 18
 
 
-def _has_blank_line(path) -> bool:
-    r"""Whether two line ends follow each other anywhere in the file (`\n\n`,
-    `\n\r` or `\r\r`; `\r\n` is one line end), quoted or not.
+def _needs_per_cell_parse(path) -> bool:
+    r"""Whether numpy's parse of the file may differ from `csv.reader`'s:
+    two line ends follow each other anywhere in the file (`\n\n`, `\n\r`
+    or `\r\r`; `\r\n` is one line end), quoted or not, or a line is longer
+    than `csv.field_size_limit()` bytes.
 
-    numpy skips the empty line between them, where `csv.reader` yields an
-    empty record or keeps the line break in a quoted cell.
+    numpy skips the empty line between two line ends, where `csv.reader`
+    yields an empty record or keeps the line break in a quoted cell. numpy
+    also takes a feature cell longer than the limit, which `csv.reader`
+    refuses; such a cell makes its line longer than the limit too.
     """
+    limit = csv.field_size_limit()
     with open(path, "rb") as fh:
         tail = b""
+        start = 0      # file offset of the first byte of tail + block
+        prev_end = -1  # file offset of the last line end seen
         while block := fh.read(_SCAN_BYTES):
             a = np.frombuffer(tail + block, dtype=np.uint8)
             ends = np.flatnonzero((a == ord("\n")) | (a == ord("\r")))
-            second = ends[1:][np.diff(ends) == 1]  # line ends right after another one
+            gaps = np.diff(ends)
+            second = ends[1:][gaps == 1]  # line ends right after another one
             if (a[second - 1] != ord("\r")).any() or (a[second] != ord("\n")).any():
                 return True
+            if ends.size:
+                # a line between line ends e1 < e2 holds e2 - e1 - 1 bytes
+                if max(start + ends[0] - prev_end, gaps.max(initial=0)) > limit + 1:
+                    return True
+                prev_end = start + int(ends[-1])
+            start += len(a) - 1
             tail = block[-1:]
-    return False
+        return fh.tell() - prev_end - 1 > limit  # the last line
 
 
 def _parse_table(fh, width: int, label_idx: int,

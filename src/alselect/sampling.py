@@ -5,9 +5,11 @@ An item with weight u gets key a^(1/u) for a ~ unif(0,1); keeping the K
 largest keys realizes weighted sampling without replacement in one pass
 with O(K) retained items. Keys are compared in log space (ln a / u, a
 strictly monotone transform) so that huge weights cannot collapse distinct
-keys onto 1.0 through float rounding. Each chunk merges into the retained
-items by one `lexsort`, after a `partition` has dropped every key below the
-K-th best when the merge holds many more than K candidates.
+keys onto 1.0 through float rounding. One merge serves both entry points:
+`select_positions` runs it once over a weight array, `select_top_k` once per
+chunk of an (id, weight) stream. It merges a block into the retained items
+by one `lexsort`, after a `partition` has dropped every key below the K-th
+best when the merge holds many more than K candidates.
 """
 
 from __future__ import annotations
@@ -87,6 +89,56 @@ class SelectionStats:
     peak_retained: int = 0
 
 
+def _merge(kept_ids, kept_neg, ids: np.ndarray, w: np.ndarray, k: int,
+           rng: RngState) -> tuple[np.ndarray, np.ndarray]:
+    """Merge one block of ids and weights into the retained items.
+
+    Checks the weights, draws one uniform per item and returns at most K
+    (id, negated log key) pairs: the best of the retained ones and the block.
+    Ranked by (-log key, id) ascending; negation is exact, so this is the
+    documented order and no merge has to negate the retained keys again.
+    """
+    if not (w[w.argmin()] >= _MIN_WEIGHT and w[w.argmax()] < math.inf):  # NaN fails both
+        bad = w[~((w >= _MIN_WEIGHT) & (w < math.inf))][0]
+        raise ValueError(f"weights must be positive and finite, at least "
+                         f"{_MIN_WEIGHT:.4g}, got {float(bad)}")
+    neg = np.log(rng.uniforms_open(len(w))) / -w
+    if kept_ids is not None:
+        ids = np.concatenate((kept_ids, ids))
+        neg = np.concatenate((kept_neg, neg))
+    if len(ids) > k:
+        if len(ids) - k > _PARTITION_SURPLUS:
+            # every key tied with the K-th best goes on, so the sort decides ties
+            cand = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+            ids, neg = ids[cand], neg[cand]
+        best = np.lexsort((ids, neg))[:k]
+        ids, neg = ids[best], neg[best]
+    return ids, neg
+
+
+def select_positions(weights, k: int, rng: RngState) -> set[int]:
+    """K distinct positions into a 1-D weight array, sampled without
+    replacement proportionally to the weights.
+
+    One merge over the whole array: the same keys, ties and errors as
+    `select_top_k(enumerate(weights), k, rng)`, and the same set from an
+    equal rng. Both draw one uniform per item in order, and one block reads
+    the stream as its chunks do. The one exception is a uniform that is
+    exactly zero (probability 2**-53 per draw): it is redrawn after the
+    whole array rather than after its chunk, so later draws shift.
+    """
+    if k < 1:
+        raise ValueError(f"K must be >= 1, got {k}")
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1:
+        raise ValueError(f"weights must be a 1-D array, got shape {w.shape}")
+    if len(w):  # merged before the count check, so a bad weight is reported first
+        ids, _ = _merge(None, None, np.arange(len(w)), w, k, rng)
+    if len(w) < k:
+        raise ValueError(f"requested {k} items but only {len(w)} available")
+    return set(ids.tolist())
+
+
 def select_top_k(
     stream: Iterable,
     k: int,
@@ -101,6 +153,7 @@ def select_top_k(
     buffer. One uniform is consumed per stream element in stream order, so
     output is a pure function of (stream, K, rng seed). Each chunk is merged
     into the retained set by log key descending, ties toward the smaller id.
+    This is the chunked form of `select_positions`, for streams of ids.
 
     Raises ValueError when the stream holds fewer than K items, ids repeat
     or a weight is out of range.
@@ -109,30 +162,12 @@ def select_top_k(
         raise ValueError(f"K must be >= 1, got {k}")
     items = iter(stream)
     n_seen = 0
-    # ranked by (-log key, id) ascending; negation is exact, so this is the
-    # documented order and no merge has to negate the retained keys again
     kept_ids = kept_neg = None
     while chunk := list(itertools.islice(items, _CHUNK)):
         ids, weights = zip(*chunk)
-        w = np.array(weights, dtype=np.float64)
-        if not (w[w.argmin()] >= _MIN_WEIGHT and w[w.argmax()] < math.inf):  # NaN fails both
-            bad = w[~((w >= _MIN_WEIGHT) & (w < math.inf))][0]
-            raise ValueError(f"weights must be positive and finite, at least "
-                             f"{_MIN_WEIGHT:.4g}, got {float(bad)}")
-        ids = np.array(ids, dtype=np.int64)
-        neg = np.log(rng.uniforms_open(len(w))) / -w
-        if kept_ids is not None:
-            ids = np.concatenate((kept_ids, ids))
-            neg = np.concatenate((kept_neg, neg))
-        if len(ids) > k:
-            if len(ids) - k > _PARTITION_SURPLUS:
-                # every key tied with the K-th best goes on, so the sort decides ties
-                cand = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
-                ids, neg = ids[cand], neg[cand]
-            best = np.lexsort((ids, neg))[:k]
-            ids, neg = ids[best], neg[best]
-        kept_ids, kept_neg = ids, neg
-        n_seen += len(w)
+        kept_ids, kept_neg = _merge(kept_ids, kept_neg, np.array(ids, dtype=np.int64),
+                                    np.array(weights, dtype=np.float64), k, rng)
+        n_seen += len(chunk)
         if stats is not None:
             stats.items_seen = n_seen
             stats.peak_retained = max(stats.peak_retained, len(kept_ids))

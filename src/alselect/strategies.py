@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ModelParams, predict_proba_matrix
-from .sampling import RngState, select_top_k, uniform_sample
+from .sampling import RngState, select_positions, uniform_sample
+from .sampling import select_top_k  # noqa: F401  unused here; perfbench/tracer.py wraps this name
 
 # WEIGHTED clips each log weight d*ln(u/u_B) to [-64, 64], which changes no
 # selection. uniforms_open draws multiples of 2**-53 in [2**-53, 1 - 2**-53],
@@ -79,6 +80,8 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray, b: int,
     """B distinct positions into `scores` under the configured strategy.
 
     Greedy ranks by descending score, ties toward the smaller position.
+    Weighted hands the sampler its weight array (`select_positions`), one
+    merge over all positions, with no per-item (id, weight) stream.
     """
     scores = np.asarray(scores, dtype=np.float64)
     # argmin/argmax return the first NaN, so NaN fails; an empty array passes
@@ -94,13 +97,13 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray, b: int,
         return uniform_sample(range(len(scores)), b, rng)
 
     if cfg.kind is StrategyKind.WEIGHTED:
-        # exponent keys over (u/u_B)^d, u_B the B-th largest score, streamed
-        # through the reservoir; scaling every weight by u_B^-d moves no key's rank
+        # exponent keys over (u/u_B)^d, u_B the B-th largest score; scaling
+        # every weight by u_B^-d moves no key's rank
         log_u = np.log(scores)
         log_u_b = np.partition(log_u, len(log_u) - b)[len(log_u) - b]
         with np.errstate(over="ignore"):
             w = np.exp(np.clip(cfg.exponent_d * (log_u - log_u_b), -_LOG_W_CLIP, _LOG_W_CLIP))
-        return select_top_k(enumerate(w.tolist()), b, rng)
+        return select_positions(w, b, rng)
 
     # a stable sort on -score: descending score, ties toward the smaller position
     order = np.argsort(-scores, kind="stable")

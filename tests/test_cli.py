@@ -267,6 +267,19 @@ class TestRun:
         assert err == f"error: {csv_path}: row 1: field larger than field limit (131072)\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("trailer", ["", "\n"], ids=["plain", "blank_line_after"])
+    def test_long_feature_cell_is_data_error(self, capsys, tmp_path, trailer):
+        # numpy parses the 140,001-digit cell as 1.0; a blank line elsewhere
+        # used to decide whether csv.reader saw it and refused it
+        csv_path = tmp_path / "long.csv"
+        csv_path.write_text("x,label\n" + "0" * 140_000 + "1,a\n2,b\n" + trailer,
+                            encoding="utf-8")
+        rc, out, err = run_cli(capsys, "run", str(write_config(tmp_path, csv_path, tmp_path / "o")))
+        assert rc == EXIT_DATA
+        assert out == ""
+        assert err == f"error: {csv_path}: row 0: field larger than field limit (131072)\n"
+        assert not (tmp_path / "o").exists()
+
     def test_one_label_csv_is_data_error(self, capsys, tmp_path):
         csv_path = tmp_path / "one.csv"
         csv_path.write_text("x,label\n" + "".join(f"{i}.0,a\n" for i in range(50)),
@@ -478,6 +491,17 @@ class TestReport:
         rc, out, _ = run_cli(capsys, "report", str(root), "--format", "md")
         assert rc == EXIT_OK
         assert out.splitlines()[2] == '| a,b "c" \\|d.csv | 90.00 ± 1.00 |'
+
+    def test_md_keeps_a_name_with_line_breaks_on_one_row(self, capsys, tmp_path):
+        root = tmp_path / "res"
+        (root / "x").mkdir(parents=True)
+        (root / "x" / "summary.json").write_text(
+            '{"dataset": "a\\nb\\r\\nc\\rd.csv", "strategy": "random", '
+            '"final_accuracy_mean": 0.9, "final_accuracy_std": 0.01}', encoding="utf-8")
+        rc, out, _ = run_cli(capsys, "report", str(root), "--format", "md")
+        assert rc == EXIT_OK
+        assert out.splitlines() == ["| dataset | random |", "|---|---|",
+                                    "| a<br>b<br>c<br>d.csv | 90.00 ± 1.00 |"]
 
     def test_missing_dir(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "report", str(tmp_path / "nothing"))

@@ -342,7 +342,20 @@ class TestLoadCsv:
     @pytest.mark.parametrize("scan_bytes", [1, 2, 3, 1 << 18])
     def test_blank_line_scan_across_blocks(self, tmp_path, monkeypatch, text, blank, scan_bytes):
         monkeypatch.setattr(alselect.data, "_SCAN_BYTES", scan_bytes)
-        assert alselect.data._has_blank_line(write(tmp_path, text)) is blank
+        assert alselect.data._needs_per_cell_parse(write(tmp_path, text)) is blank
+
+    @pytest.mark.parametrize("text, long", [
+        ("abcd\nabcd", False), ("abcde\nabcd", True), ("abcd\nabcde", True),
+        ("ab\nabcde\nab", True), ("ab\r\nabcd\r\nab\r\n", False), ("ab\r\nabcde\r\n", True),
+        ("abcd\rabcd\r", False), ("abcd\rabcde\r", True), ("abcd", False), ("abcde", True),
+    ])
+    @pytest.mark.parametrize("scan_bytes", [1, 2, 3, 1 << 18])
+    def test_long_line_scan_across_blocks(self, tmp_path, monkeypatch, text, long, scan_bytes):
+        # a line longer than the field limit may hold a cell numpy takes and
+        # csv.reader refuses, so it goes to the per-cell parse
+        monkeypatch.setattr(alselect.data, "_SCAN_BYTES", scan_bytes)
+        monkeypatch.setattr(csv, "field_size_limit", lambda: 4)
+        assert alselect.data._needs_per_cell_parse(write(tmp_path, text)) is long
 
     @pytest.mark.parametrize("text, expected", [
         ("f1,y\n1.0,a\n2.0,{long}\n", "row 1: field larger than field limit (131072)"),

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alselect.sampling import (_CHUNK, _MIN_WEIGHT, RngState, SelectionStats,
-                               select_top_k, uniform_sample)
+from alselect.sampling import (_CHUNK, _MIN_WEIGHT, _PARTITION_SURPLUS, RngState,
+                               SelectionStats, select_positions, select_top_k,
+                               uniform_sample)
 
 
 def oracle_generator(*seed_path):
@@ -321,6 +322,65 @@ class TestSelectTopK:
             assert stats.peak_retained <= k
             results.append((out, rng.uniforms_open(1)[0], stats.items_seen))
         assert results[0] == results[1]
+
+
+@st.composite
+def position_cases(draw):
+    """(weights, K, seed, coarse) with n on both sides of _CHUNK and of
+    K + _PARTITION_SURPLUS, tied weights among the kinds, and K = n."""
+    k = draw(st.one_of(st.integers(1, 40), st.sampled_from([_CHUNK - 1, _CHUNK + 1])))
+    edges = {_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, k,
+             k + _PARTITION_SURPLUS, k + _PARTITION_SURPLUS + 1}
+    n = draw(st.one_of(st.sampled_from(sorted(e for e in edges if e >= k)),
+                       st.integers(k, 3 * _CHUNK + 1)))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = WEIGHT_KINDS[draw(st.sampled_from(sorted(WEIGHT_KINDS)))](g, n)
+    return weights, k, draw(st.integers(0, 2**16)), draw(st.booleans())
+
+
+class TestSelectPositions:
+    """The array entry point against the chunked (id, weight) stream."""
+
+    @given(position_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stream_path(self, case):
+        weights, k, seed, coarse = case
+        results = []
+        for select in (select_positions, lambda w, k, rng: select_top_k(enumerate(w.tolist()), k, rng)):
+            rng = RngState(seed)
+            out = select(weights, k, CoarseRng(rng) if coarse else rng)
+            results.append((out, rng.uniforms_open(1)[0]))
+        assert results[0] == results[1]
+        assert all(type(i) is int for i in results[0][0])
+
+    def test_k_equals_n(self):
+        w = np.linspace(0.5, 3.0, _CHUNK + 1)
+        assert select_positions(w, len(w), RngState(0)) == set(range(len(w)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, 1e-310])
+    @pytest.mark.parametrize("n", [3, _CHUNK + 3])
+    def test_same_weight_errors_as_stream(self, bad, n):
+        w = np.ones(n)
+        w[n - 2] = bad
+        for k in (1, n + 1):  # a bad weight is found before too few items
+            with pytest.raises(ValueError) as stream_exc:
+                select_top_k(enumerate(w.tolist()), k, RngState(0))
+            with pytest.raises(ValueError, match="positive and finite") as array_exc:
+                select_positions(w, k, RngState(0))
+            assert str(array_exc.value) == str(stream_exc.value)
+
+    @pytest.mark.parametrize("n, k", [(0, 1), (3, 4), (_CHUNK, _CHUNK + 1), (5, 0)])
+    def test_same_count_errors_as_stream(self, n, k):
+        w = np.ones(n)
+        with pytest.raises(ValueError) as stream_exc:
+            select_top_k(enumerate(w.tolist()), k, RngState(0))
+        with pytest.raises(ValueError, match="K must be|requested") as array_exc:
+            select_positions(w, k, RngState(0))
+        assert str(array_exc.value) == str(stream_exc.value)
+
+    def test_rejects_2d_weights(self):
+        with pytest.raises(ValueError, match="1-D"):
+            select_positions(np.ones((3, 2)), 1, RngState(0))
 
 
 def pair_probabilities_oracle(weights):

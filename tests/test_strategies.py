@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from alselect.classifier import ModelParams, fit
 from alselect.probs import entropy_lower_bound
-from alselect.sampling import RngState
-from alselect.strategies import StrategyConfig, StrategyKind, score_pool, select_batch
+from alselect.sampling import _CHUNK, RngState, select_top_k
+from alselect.strategies import (_LOG_W_CLIP, StrategyConfig, StrategyKind, score_pool,
+                                 select_batch)
 
 
 def oracle_score(W, x, chi):
@@ -209,6 +210,23 @@ class TestWeighted:
         expected = set(np.lexsort((np.arange(len(u)), log_key))[:b].tolist())
         cfg = StrategyConfig(kind=StrategyKind.WEIGHTED, exponent_d=d)
         assert select_batch(cfg, u, b, RngState(seed)) == expected
+
+    @pytest.mark.parametrize("d", [0.0, 1.0, 16.0, 1e6])
+    @pytest.mark.parametrize("n, b", [(40, 10), (_CHUNK + 1, 30), (5500, 30), (3 * _CHUNK, 2000)])
+    def test_matches_tuple_stream_selection(self, d, n, b):
+        # the array path gives the sets the (id, weight) stream gave, so a
+        # run's records stay byte-identical
+        cfg = StrategyConfig(kind=StrategyKind.WEIGHTED, exponent_d=d)
+        g = np.random.default_rng(n)
+        for seed in range(5):
+            u = make_scores(g.uniform(0.2, 1.1, n))
+            log_u = np.log(u)
+            log_u_b = np.sort(log_u)[n - b]
+            with np.errstate(over="ignore"):
+                w = np.exp(np.clip(d * (log_u - log_u_b), -_LOG_W_CLIP, _LOG_W_CLIP))
+            new_rng, old_rng = RngState(seed, (n, b)), RngState(seed, (n, b))
+            assert select_batch(cfg, u, b, new_rng) == select_top_k(enumerate(w.tolist()), b, old_rng)
+            assert new_rng.uniforms_open(1)[0] == old_rng.uniforms_open(1)[0]
 
     def test_d_one_matches_direct_key_sampling(self):
         # with d=1 the weights are the raw scores; spot-check determinism
