@@ -12,6 +12,7 @@ exit code and prints it with its notes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -125,8 +126,20 @@ def _record_line(rec) -> str:
     return json.dumps(line, sort_keys=True)
 
 
+@contextlib.contextmanager
+def _new_file(path: Path):
+    """Yield a new file at `path` for writing; remove it if the block or close raises."""
+    fh = open(path, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        path.unlink()
+        raise
+
+
 def _write_json(path: Path, obj, sort_keys: bool = True) -> None:
-    with open(path, "x", encoding="utf-8") as fh:
+    with _new_file(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
 
@@ -233,12 +246,16 @@ def cmd_synth(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "x", encoding="utf-8") as fh:
+    with _new_file(out) as fh:
         fh.write(",".join(dataset.feature_names) + ",label\n")
         for row, label in zip(dataset.features.tolist(), dataset.labels.tolist()):
             fh.write(f"{','.join(map(repr, row))},{dataset.label_names[label]}\n")
-    _write_json(sidecar, {"pocket_ids": sorted(pocket_ids), "beta": spec.beta, "n": spec.n},
-                sort_keys=False)
+    try:
+        _write_json(sidecar, {"pocket_ids": sorted(pocket_ids), "beta": spec.beta, "n": spec.n},
+                    sort_keys=False)
+    except BaseException:
+        out.unlink()  # leave both files or neither
+        raise
     print(f"wrote {dataset.n} rows to {out} ({len(pocket_ids)} pocket ids in sidecar)")
     return EXIT_OK
 

@@ -2,8 +2,7 @@
 
 CSV dialect is deliberately rigid for bit-deterministic parsing: comma
 separated, UTF-8 (a leading byte-order mark is skipped), mandatory header.
-Records and quoting follow the `csv` module's defaults: a `"`-quoted cell
-may hold commas, newlines and `""` for a quote. Feature cells take Python
+Records follow the `csv` module's defaults. Feature cells take Python
 `float` syntax and must be finite. A blank line, a row with the wrong
 number of cells, a cell longer than `csv.field_size_limit()` and a
 non-finite or non-numeric cell are refused, naming the row (and, for a
@@ -69,23 +68,18 @@ def load_csv(path, label_column: str) -> Dataset:
     is `label_names[i]`, and there must be at least two. The file must be
     UTF-8 and feature cells must parse as finite floats.
 
-    `csv.reader` reads the header row. One `np.loadtxt` call then splits
-    the records and parses them, feature cells as float64 and label cells
-    as strings; numpy's tokenizer splits records as `csv.reader` does,
-    except that it skips empty lines and takes cells of any length. Its
-    result is kept only if no two line ends follow each other in the file,
-    no line and no label is longer than `csv.field_size_limit()`, and every
-    feature is finite. Otherwise (a blank line, a long line, a ragged row, a
-    cell numpy refuses but `float` takes, such as `1_000`, or a bad cell)
-    `_parse_records` reads the file again with `csv.reader` and parses it
-    cell by cell, raising the first fault in file order.
+    `csv.reader` reads the header row. If `_needs_per_cell_parse` finds
+    the file plain, one `np.loadtxt` call parses its records, kept if every
+    feature is finite. Otherwise (a quote, a blank line, a long line, a
+    ragged row, a cell numpy refuses but `float` takes, such as `1_000`, or
+    a bad cell) `_parse_records` parses the file cell by cell with
+    `csv.reader` and `float`, raising the first fault in file order.
     """
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
             try:
-                header = next(reader, None)
+                header = next(csv.reader(fh), None)
             except csv.Error as exc:
                 raise DataFormatError(f"{path}: header row: {exc}") from None
             if not header or header == [""]:
@@ -94,14 +88,13 @@ def load_csv(path, label_column: str) -> Dataset:
                 raise DataFormatError(f"{path}: column {label_column!r} not found in header")
             label_idx = header.index(label_column)
             feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
-            header_lines = reader.line_num  # a quoted header cell may span lines
             if not fh.read(1):  # np.loadtxt would warn "input contained no data"
                 raise DataFormatError(f"{path}: file is empty or has no header row")
 
             parsed = None
             if not _needs_per_cell_parse(path):
                 fh.seek(0)
-                parsed = _parse_table(fh, len(header), label_idx, header_lines)
+                parsed = _parse_table(fh, len(header), label_idx)
             if parsed is None:
                 fh.seek(0)
                 parsed = _parse_records(path, csv.reader(fh), label_idx)
@@ -111,21 +104,16 @@ def load_csv(path, label_column: str) -> Dataset:
     except OSError as exc:
         raise DataFormatError(f"{path}: cannot read file: {exc.strerror or exc}") from None
 
-    mapping: dict[str, int] = {}
-    for s in raw_labels:
-        if s not in mapping:
-            mapping[s] = len(mapping)
+    mapping = {s: i for i, s in enumerate(dict.fromkeys(raw_labels))}  # first appearance
     if len(mapping) < 2:
         raise DataFormatError(f"{path}: label column {label_column!r} has one distinct value")
     labels = np.array([mapping[s] for s in raw_labels], dtype=np.int64)
-
-    label_names = tuple(sorted(mapping, key=mapping.get))
     return Dataset(
         features=features,
         labels=labels,
         k=len(mapping),
         feature_names=feature_names,
-        label_names=label_names,
+        label_names=tuple(mapping),
     )
 
 
@@ -133,15 +121,14 @@ _SCAN_BYTES = 1 << 18
 
 
 def _needs_per_cell_parse(path) -> bool:
-    r"""Whether numpy's parse of the file may differ from `csv.reader`'s:
-    two line ends follow each other anywhere in the file (`\n\n`, `\n\r`
-    or `\r\r`; `\r\n` is one line end), quoted or not, or a line is longer
-    than `csv.field_size_limit()` bytes.
+    r"""Whether numpy's parse of the file may differ from `csv.reader`'s.
 
-    numpy skips the empty line between two line ends, where `csv.reader`
-    yields an empty record or keeps the line break in a quoted cell. numpy
-    also takes a feature cell longer than the limit, which `csv.reader`
-    refuses; such a cell makes its line longer than the limit too.
+    numpy parses a file only if it holds no `"` byte, no blank line (two
+    line ends in a row: `\n\n`, `\n\r` or `\r\r`; `\r\n` is one line
+    end) and no line longer than `csv.field_size_limit()` bytes. On such a
+    file numpy and `csv.reader` split records and cells alike. Elsewhere
+    numpy skips a blank line that `csv.reader` yields as an empty record,
+    and takes a cell longer than the limit that `csv.reader` refuses.
     """
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
@@ -153,7 +140,8 @@ def _needs_per_cell_parse(path) -> bool:
             ends = np.flatnonzero((a == ord("\n")) | (a == ord("\r")))
             gaps = np.diff(ends)
             second = ends[1:][gaps == 1]  # line ends right after another one
-            if (a[second - 1] != ord("\r")).any() or (a[second] != ord("\n")).any():
+            crlf = (a[second - 1] == ord("\r")) & (a[second] == ord("\n"))
+            if b'"' in block or not crlf.all():
                 return True
             if ends.size:
                 # a line between line ends e1 < e2 holds e2 - e1 - 1 bytes
@@ -165,29 +153,23 @@ def _needs_per_cell_parse(path) -> bool:
         return fh.tell() - prev_end - 1 > limit  # the last line
 
 
-def _parse_table(fh, width: int, label_idx: int,
-                 header_lines: int) -> tuple[np.ndarray, list[str]] | None:
-    """Parse every record after the header in one `np.loadtxt` call.
+def _parse_table(fh, width: int, label_idx: int) -> tuple[np.ndarray, list[str]] | None:
+    """Parse every record after the one-line header in one `np.loadtxt` call.
 
     Returns the features and the raw label strings, or None where numpy
-    refuses a record or its result may differ from `_parse_records`'s: a
-    non-finite feature or a label longer than `csv.field_size_limit()`.
+    refuses a record or a feature is not finite.
     """
     fields = [f"c{i}" for i in range(width)]
     dtype = [(name, object if i == label_idx else np.float64) for i, name in enumerate(fields)]
     try:
-        table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
-                           skiprows=header_lines, dtype=dtype, ndmin=1)
+        table = np.loadtxt(fh, delimiter=",", comments=None, skiprows=1, dtype=dtype, ndmin=1)
     except ValueError:
         return None  # a cell or record numpy refuses; _parse_records decides
     raw_labels = table[fields.pop(label_idx)].tolist()
     features = np.empty((len(table), len(fields)))
     for j, name in enumerate(fields):
         features[:, j] = table[name]
-    if (not np.isfinite(features).all()
-            or max(map(len, raw_labels)) > csv.field_size_limit()):
-        return None
-    return features, raw_labels
+    return (features, raw_labels) if np.isfinite(features).all() else None
 
 
 def _parse_records(path, reader, label_idx: int) -> tuple[np.ndarray, list[str]]:

@@ -146,6 +146,27 @@ class TestSynth:
         assert [p.name for p in tmp_path.iterdir()] == [existing]
         assert (tmp_path / existing).read_text(encoding="utf-8") == "keep\n"
 
+    @pytest.mark.parametrize("failing", ["_write_json", "json.dump"])
+    def test_failed_sidecar_write_leaves_no_file(self, capsys, tmp_path, monkeypatch, failing):
+        def fail(*args, **kwargs):
+            raise OSError("No space left on device")
+
+        if failing == "_write_json":
+            monkeypatch.setattr(cli, "_write_json", fail)
+        else:  # the sidecar exists, half written, when the write fails
+            monkeypatch.setattr(cli.json, "dump", fail)
+        argv = ["synth", "--n", "100", "--d", "4", "--k", "2", "--beta", "0.1",
+                "--out", str(tmp_path / "d.csv")]
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == EXIT_RUNTIME
+        assert out == ""
+        assert err == "error: No space left on device\n"
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        rc, _, _ = run_cli(capsys, *argv)  # a rerun is not refused
+        assert rc == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.pocket.json"]
+
 
 class TestRun:
     def test_minimal_run(self, capsys, tmp_path):

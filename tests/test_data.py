@@ -5,10 +5,11 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import alselect.data
@@ -106,6 +107,11 @@ FEATURE_CELLS = st.integers(0, 9).flatmap(lambda i: ODD_CELLS if i == 0 else NUM
 LABELS = st.text(alphabet='ab,"\n\r \t', max_size=4)
 NAMES = st.text(alphabet='xy,"\n\r ', max_size=3)
 EOLS = st.sampled_from(["\n", "\r\n", "\r"])
+# which parse of the records ran, by (np.loadtxt called, csv.reader per cell called)
+PARSERS = {(True, False): "np.loadtxt",
+           (True, True): "np.loadtxt refused, then csv.reader per cell",
+           (False, True): "csv.reader per cell",
+           (False, False): "none, refused before the records"}
 
 
 @st.composite
@@ -278,10 +284,22 @@ class TestLoadCsv:
             raise AssertionError("per-cell parse ran on a file numpy parses")
 
         monkeypatch.setattr(alselect.data, "_parse_records", refuse)
+        p = write(tmp_path, "y,f1,f2\r\n a b ,1.5,-2e-3\r\nc, 3 , 4\r\n")
+        ds = load_csv(p, "y")
+        assert ds.features.tolist() == [[1.5, -2e-3], [3.0, 4.0]]
+        assert ds.label_names == (" a b ", "c")
+
+    def test_quoted_file_goes_to_per_cell_parse(self, tmp_path, monkeypatch):
+        # numpy never reads quotes: any `"` byte sends the file to csv.reader
+        calls = []
+        real = alselect.data._parse_records
+        monkeypatch.setattr(alselect.data, "_parse_records",
+                            lambda *args: calls.append(1) or real(*args))
         p = write(tmp_path, 'y,f1,f2\r\n"a, \nb",1.5,-2e-3\r\nc, 3 ,"4"\r\n')
         ds = load_csv(p, "y")
         assert ds.features.tolist() == [[1.5, -2e-3], [3.0, 4.0]]
         assert ds.label_names == ("a, \nb", "c")
+        assert calls == [1]
 
     @pytest.mark.parametrize("text, expected", [
         ("f1,y\n1.0,a\n\n2.0,b\n", "row 1 has 0 cells, expected 2"),
@@ -323,16 +341,12 @@ class TestLoadCsv:
                 rows.append(next(self._reader))
                 return rows[-1]
 
-            @property
-            def line_num(self):
-                return self._reader.line_num
-
         monkeypatch.setattr(csv, "reader", CountingReader)
-        p = write(tmp_path, 'f1,"y\r\n"\r\n1.5,"a\nb"\r\n2.5,c\r3.5,"a\nb"\n')
-        ds = load_csv(p, "y\r\n")
-        assert rows == [["f1", "y\r\n"]]
+        p = write(tmp_path, "f1, y \r\n1.5,a b\r\n2.5,c\r3.5,a b\n")
+        ds = load_csv(p, " y ")
+        assert rows == [["f1", " y "]]
         assert ds.features.tolist() == [[1.5], [2.5], [3.5]]
-        assert ds.label_names == ("a\nb", "c")
+        assert ds.label_names == ("a b", "c")
 
     @pytest.mark.parametrize("text, blank", [
         ("a\r\nb\r\nc\r\n", False), ("a\rb\nc\r", False), ("abc", False), ("\r\n", False),
@@ -343,6 +357,14 @@ class TestLoadCsv:
     def test_blank_line_scan_across_blocks(self, tmp_path, monkeypatch, text, blank, scan_bytes):
         monkeypatch.setattr(alselect.data, "_SCAN_BYTES", scan_bytes)
         assert alselect.data._needs_per_cell_parse(write(tmp_path, text)) is blank
+
+    @pytest.mark.parametrize("text, quoted", [
+        ('"abc\n', True), ('ab\r\ncd\r\nef"\r\n', True), ("ab\r\ncd\r\nef\r\n", False),
+    ])
+    @pytest.mark.parametrize("scan_bytes", [1, 2, 3, 1 << 18])
+    def test_quote_scan_across_blocks(self, tmp_path, monkeypatch, text, quoted, scan_bytes):
+        monkeypatch.setattr(alselect.data, "_SCAN_BYTES", scan_bytes)
+        assert alselect.data._needs_per_cell_parse(write(tmp_path, text)) is quoted
 
     @pytest.mark.parametrize("text, long", [
         ("abcd\nabcd", False), ("abcde\nabcd", True), ("abcd\nabcde", True),
@@ -361,9 +383,13 @@ class TestLoadCsv:
         ("f1,y\n1.0,a\n2.0,{long}\n", "row 1: field larger than field limit (131072)"),
         ('f1,y\n1.0,a\n2.0,"{long}"\n', "row 1: field larger than field limit (131072)"),
         ("f1,{long}\n1.0,a\n", "header row: field larger than field limit (131072)"),
-    ], ids=["label", "quoted_label", "header"])
+        # a quoted feature cell of 70,001 short lines that numpy reads as 1.0
+        ('x,y\n"{short_lines}1",a\n2,b\n', "row 0: field larger than field limit (131072)"),
+        ('x,y\n"{short_lines}1",a\n2,b\n\n', "row 0: field larger than field limit (131072)"),
+    ], ids=["label", "quoted_label", "header", "quoted_short_lines",
+            "quoted_short_lines_blank_line_after"])
     def test_cell_over_field_limit_names_row(self, tmp_path, text, expected):
-        p = write(tmp_path, text.format(long="x" * 140_000))
+        p = write(tmp_path, text.format(long="x" * 140_000, short_lines=" \n" * 70_000))
         with pytest.raises(DataFormatError) as exc:
             load_csv(p, "y")
         assert str(exc.value) == f"{p}: {expected}"
@@ -371,9 +397,18 @@ class TestLoadCsv:
     @given(csv_texts())
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_per_cell_reference(self, text):
+        # most drawn files hold a `"`, which keeps them off the numpy parse,
+        # so each one's twin with every `"` removed is checked as well;
+        # `--hypothesis-show-statistics` prints how often each parser ran
         with tempfile.TemporaryDirectory() as tmp:
-            p = write(Path(tmp), text)
-            assert outcome(load_csv, p) == outcome(reference_load_csv, p)
+            for name, body in [("as drawn", text), ("quotes removed", text.replace('"', ""))]:
+                p = write(Path(tmp), body, f"{name}.csv")
+                with (mock.patch.object(alselect.data, "_parse_table",
+                                        wraps=alselect.data._parse_table) as numpy_parse,
+                      mock.patch.object(alselect.data, "_parse_records",
+                                        wraps=alselect.data._parse_records) as per_cell_parse):
+                    assert outcome(load_csv, p) == outcome(reference_load_csv, p)
+                event(f"{name}: " + PARSERS[numpy_parse.called, per_cell_parse.called])
 
     def test_numeric_labels_ok(self, tmp_path):
         p = write(tmp_path, "x,y\n1.0,7\n2.0,3\n3.0,7\n")
