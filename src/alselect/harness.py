@@ -22,7 +22,8 @@ from .classifier import FitConfig, accuracy, fit
 from .data import Dataset, standardize_apply, standardize_fit
 from .errors import ConfigError
 from .probs import LemmaBoundInput, LemmaBoundReport, lemma_bound
-from .sampling import RngState, select_top_k, uniform_sample
+from .sampling import RngState, select_positions, uniform_sample
+from .sampling import select_top_k  # noqa: F401  perfbench/tracer.py wraps this name
 from .strategies import StrategyConfig, score_pool, select_batch
 
 # stream tags for RngState.derive
@@ -380,12 +381,13 @@ def validate_lemma(spec: SynthPocketSpec, chi: float, delta: float,
 
     Pool of spec.n items with a round(beta*n) pocket; pocket items carry
     the entropy floor zeta, everything else ln k (the maximum), isolating
-    the sampling claim from classifier behavior. Each repeat draws the
-    bound's n_s items in one streaming pass and counts whether any pocket
-    item was hit. With `equal_weights` the pocket carries ln k too, so the
-    n_s items are a uniform draw without replacement and the exact hit rate
-    is 1 - C(n-m, n_s)/C(n, n_s) for an m-item pocket (1 - (1-beta)^n_s
-    only approximates it, as if the draws were independent).
+    the sampling claim from classifier behavior. Each repeat takes the
+    bound's n_s items in one `select_positions` draw over the pool's weight
+    array and counts whether any pocket item was hit. With `equal_weights`
+    the pocket carries ln k too, so the n_s items are a uniform draw
+    without replacement and the exact hit rate is 1 - C(n-m, n_s)/C(n, n_s)
+    for an m-item pocket (1 - (1-beta)^n_s only approximates it, as if the
+    draws were independent).
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -399,19 +401,17 @@ def validate_lemma(spec: SynthPocketSpec, chi: float, delta: float,
             f"bound requires n_s={bound.n_s} draws but the pool has only {spec.n} items"
         )
 
-    top = math.log(spec.k)
-    pocket_w = top if equal_weights else bound.zeta
-    ids = list(range(spec.n))
-    weights = [pocket_w] * pocket_m + [top] * (spec.n - pocket_m)
+    weights = np.full(spec.n, math.log(spec.k))
+    if not equal_weights:
+        weights[:pocket_m] = bound.zeta
 
     hits = 0
-    root = RngState(spec.seed)
-    for rep in range(repeats):
-        if bound.n_s == 0:
-            break
-        selected = select_top_k(zip(ids, weights), bound.n_s, root.derive(_LEMMA, rep))
-        if any(i < pocket_m for i in selected):
-            hits += 1
+    if bound.n_s > 0:
+        root = RngState(spec.seed)
+        for rep in range(repeats):
+            selected = select_positions(weights, bound.n_s, root.derive(_LEMMA, rep))
+            if any(i < pocket_m for i in selected):
+                hits += 1
     return LemmaValidationReport(
         bound=bound, repeats=repeats, hits=hits,
         hit_rate=hits / repeats, target=1.0 - delta,

@@ -105,14 +105,16 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray, b: int,
             w = np.exp(np.clip(cfg.exponent_d * (log_u - log_u_b), -_LOG_W_CLIP, _LOG_W_CLIP))
         return select_positions(w, b, rng)
 
-    # a stable sort on -score: descending score, ties toward the smaller position
-    order = np.argsort(-scores, kind="stable")
     if cfg.kind is StrategyKind.GREEDY:
-        return set(order[:b].tolist())
+        # every position scoring at least the B-th largest score, stable-sorted
+        # on -score: descending score, ties toward the smaller position
+        cand = np.flatnonzero(scores >= np.partition(scores, len(scores) - b)[len(scores) - b])
+        return set(cand[np.argsort(-scores[cand], kind="stable")[:b]].tolist())
 
     # EPS_GREEDY: each slot takes the best remaining, or with probability
-    # epsilon a uniform pick among the remaining
-    ranked = order.tolist()
+    # epsilon a uniform pick among the remaining. Its uniform picks index the
+    # whole ranking, so it sorts the whole pool, ties toward the smaller position.
+    ranked = np.argsort(-scores, kind="stable").tolist()
     chosen: set[int] = set()
     for _ in range(b):
         if rng.uniforms_open(1)[0] < cfg.epsilon:

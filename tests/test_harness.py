@@ -13,7 +13,7 @@ from alselect import cli, harness
 from alselect.harness import (ExperimentConfig, SynthPocketSpec, biased_init,
                               generate_pocket_dataset, holdout_ids,
                               run_experiment, run_trial, validate_lemma)
-from alselect.sampling import RngState
+from alselect.sampling import _CHUNK, RngState, select_top_k
 from alselect.strategies import StrategyConfig, StrategyKind
 
 
@@ -408,6 +408,40 @@ class TestValidateLemma:
                           pocket_class=0, seed=5)
         report = validate_lemma(spec, chi=0.05, delta=0.5, repeats=50)
         assert report.hit_rate == 1.0
+
+    @pytest.mark.parametrize("n", [400, _CHUNK + 904])
+    @pytest.mark.parametrize("equal_weights", [False, True])
+    def test_hits_match_tuple_stream_reference(self, n, equal_weights):
+        # each repeat draws the set the (id, weight) stream drew, so the
+        # Monte Carlo's hits are those of the streaming sampler it validates
+        for seed in range(3):
+            spec = small_spec(n=n, d=10, k=10, beta=0.05,
+                              train_prevalence=tuple([0.1] * 10),
+                              pool_prevalence=tuple([0.1] * 10),
+                              pocket_class=0, seed=seed)
+            report = validate_lemma(spec, chi=0.05, delta=0.9, repeats=60,
+                                    equal_weights=equal_weights)
+            m = round(spec.beta * n)
+            w = [math.log(10) if equal_weights or i >= m else report.bound.zeta
+                 for i in range(n)]
+            hits = sum(
+                any(i < m for i in select_top_k(zip(range(n), w), report.bound.n_s,
+                                                RngState(seed).derive(harness._LEMMA, rep)))
+                for rep in range(60))
+            assert report.bound.n_s == 6
+            assert report.hits == hits
+            assert 0 < hits < 60
+
+    def test_no_guarantee_draws_nothing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("delta=1 needs no draw")
+        monkeypatch.setattr(harness, "select_positions", no_draw)
+        spec = small_spec(n=400, d=10, k=10, beta=0.05,
+                          train_prevalence=tuple([0.1] * 10),
+                          pool_prevalence=tuple([0.1] * 10),
+                          pocket_class=0, seed=3)
+        report = validate_lemma(spec, chi=0.05, delta=1.0, repeats=20)
+        assert (report.bound.n_s, report.hits, report.hit_rate) == (0, 0, 0.0)
 
     def test_vacuous_propagates(self):
         spec = small_spec(n=300, d=4, k=2, beta=0.1,

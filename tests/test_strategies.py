@@ -112,6 +112,20 @@ class TestGreedy:
         with pytest.raises(ValueError, match="requested 3 items but only 2 available"):
             select_batch(self.CFG, make_scores([1.0, 2.0]), 3, RngState(0))
 
+    @given(n=st.one_of(st.integers(1, 60), st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 6000])),
+           n_values=st.integers(1, 5), b_pick=st.one_of(st.sampled_from(["one", "all"]),
+                                                        st.floats(0.0, 1.0)),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_stable_sort(self, n, n_values, b_pick, seed):
+        # a handful of distinct scores, so many positions tie at the B-th score
+        g = np.random.default_rng(seed)
+        u = g.choice(g.uniform(0.1, 2.0, n_values), n)
+        b = 1 if b_pick == "one" else n if b_pick == "all" else 1 + int(b_pick * (n - 1))
+        rng = RngState(seed)
+        assert select_batch(self.CFG, u, b, rng) == set(np.argsort(-u, kind="stable")[:b].tolist())
+        assert rng.uniforms_open(1)[0] == RngState(seed).uniforms_open(1)[0]
+
 
 class TestEpsGreedy:
     def test_eps_zero_equals_greedy(self):
