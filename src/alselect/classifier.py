@@ -4,6 +4,11 @@ Deterministic by construction: zero initialization (or a caller's warm
 start), fixed iteration order, no randomness anywhere. The bias is a
 constant-one feature column and is excluded from the L2 penalty so the
 lambda->inf limit predicts exactly the uniform distribution.
+
+Probabilities are held class-major, shape (k, n): the softmax reduces
+down axis 0, k elementwise passes over contiguous rows of n, rather than
+across n rows only k wide. `predict_proba_matrix` returns the (n, k)
+transposed view.
 """
 
 from __future__ import annotations
@@ -54,10 +59,10 @@ def _augment(features: np.ndarray) -> np.ndarray:
     return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    s = scores - scores.max(axis=1, keepdims=True)
-    p = np.exp(s)
-    p /= p.sum(axis=1, keepdims=True)
+def _softmax(scores: np.ndarray) -> np.ndarray:
+    """Column-wise softmax of a class-major (k, n) score matrix."""
+    p = np.exp(scores - scores.max(axis=0))
+    p /= p.sum(axis=0)
     return p
 
 
@@ -69,11 +74,12 @@ def loss_and_grad(W, Xa, labels, k, l2_reg):
     """
     n = Xa.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        P = _softmax_rows(Xa @ W.T)
-        logp = np.log(np.clip(P[np.arange(n), labels], 1e-300, None))
+        P = _softmax(W @ Xa.T)
+        logp = np.log(np.clip(P[labels, np.arange(n)], 1e-300, None))
         loss = -logp.mean() + 0.5 * l2_reg * float((W[:, :-1] ** 2).sum())
-        P[np.arange(n), labels] -= 1.0  # P - Y for the one-hot Y, in place
-        G = P.T @ Xa / n
+        P[labels, np.arange(n)] -= 1.0  # P - Y for the one-hot Y, in place
+        # transposed product, not P @ Xa, which rounds differently in the last bits
+        G = (Xa.T @ P.T).T / n
         G[:, :-1] += l2_reg * W[:, :-1]
     return loss, G
 
@@ -81,11 +87,11 @@ def loss_and_grad(W, Xa, labels, k, l2_reg):
 def _hessian(W, Xa, l2_reg):
     """Hessian of `loss_and_grad`'s loss over W.ravel(), shape (k*(d+1))^2."""
     n, p = Xa.shape
-    P = _softmax_rows(Xa @ W.T)
-    A = (P[:, :, None] * Xa[:, None, :]).reshape(n, -1)
+    P = _softmax(W @ Xa.T)
+    A = (P.T[:, :, None] * Xa[:, None, :]).reshape(n, -1)
     H = -A.T @ A / n
     for c in range(W.shape[0]):
-        H[c * p:(c + 1) * p, c * p:(c + 1) * p] += (P[:, c:c + 1] * Xa).T @ Xa / n
+        H[c * p:(c + 1) * p, c * p:(c + 1) * p] += (P[c][:, None] * Xa).T @ Xa / n
     H[np.diag_indices_from(H)] += l2_reg * np.tile(np.r_[np.ones(p - 1), 0.0], W.shape[0])
     return H
 
@@ -146,20 +152,24 @@ def fit(features, labels, n_classes: int, cfg: FitConfig = FitConfig(),
 
 
 def predict_proba_matrix(params: ModelParams, features) -> np.ndarray:
-    """Row-wise softmax class probabilities, shape (n, k)."""
+    """Softmax class probabilities, shape (n, k): the transposed view of the
+    class-major (k, n) array, so `.T` gives each class's row contiguous."""
     Xa = _augment(features)
     if Xa.shape[1] != params.d + 1:
         raise ValueError(f"feature dim {Xa.shape[1] - 1} != model dim {params.d}")
-    return _softmax_rows(Xa @ params.weights.T)
+    return _softmax(params.weights @ Xa.T).T
 
 
 def accuracy(params: ModelParams, features, labels) -> float:
-    """Fraction of rows whose argmax prediction matches the label.
+    """Fraction of rows whose argmax prediction matches the label; `labels`
+    must have shape (n,) for n feature rows.
 
     Argmax ties break toward the smallest class index (numpy argmax order).
     """
+    P = predict_proba_matrix(params, features).T
     y = np.asarray(labels, dtype=np.int64)
+    if y.shape != (P.shape[1],):
+        raise ValueError(f"labels shape {y.shape} does not match {P.shape[1]} rows")
     if y.shape[0] == 0:
         raise ValueError("cannot score an empty dataset")
-    P = predict_proba_matrix(params, features)
-    return float((P.argmax(axis=1) == y).mean())
+    return float((P.argmax(axis=0) == y).mean())

@@ -67,12 +67,14 @@ class StrategyConfig:
 def score_pool(model: ModelParams, pool_features, cfg: StrategyConfig) -> np.ndarray:
     """Smoothed predictive entropy (nats) for every pool row, one pass.
 
-    For each row: r = softmax(Wx), v = (1-chi)r + chi/k, u = H(v).
+    For each row: r = softmax(Wx), v = (1-chi)r + chi/k, u = H(v). The
+    probabilities are held class-major, shape (k, n), and the entropy sums
+    down axis 0.
     """
-    P = predict_proba_matrix(model, pool_features)
-    k = P.shape[1]
+    P = predict_proba_matrix(model, pool_features).T
+    k = P.shape[0]
     V = (1.0 - cfg.chi) * P + cfg.chi / k
-    return -(V * np.log(V)).sum(axis=1)
+    return -(V * np.log(V)).sum(axis=0)
 
 
 def select_batch(cfg: StrategyConfig, scores: np.ndarray, b: int,

@@ -1,13 +1,14 @@
 """Logistic-regression learner tests: gradient correctness against central
-finite differences, monotone loss, convergence to the gradient tolerance,
-warm starts, boundary behaviors, and determinism."""
+finite differences, the class-major kernels against row-major reference
+formulas, monotone loss, convergence to the gradient tolerance, warm
+starts, boundary behaviors, and determinism."""
 
 import numpy as np
 import pytest
 
 from alselect import classifier
-from alselect.classifier import (_MAX_ITERS, FitConfig, ModelParams, _augment, accuracy,
-                                 fit, loss_and_grad, predict_proba_matrix)
+from alselect.classifier import (_MAX_ITERS, FitConfig, ModelParams, _augment, _hessian,
+                                 accuracy, fit, loss_and_grad, predict_proba_matrix)
 
 
 def finite_difference_grad(W, Xa, y, k, l2, step=1e-5):
@@ -21,6 +22,45 @@ def finite_difference_grad(W, Xa, y, k, l2, step=1e-5):
         lm, _ = loss_and_grad(Wm, Xa, y, k, l2)
         G[idx] = (lp - lm) / (2 * step)
     return G
+
+
+def reference_softmax_rows(scores):
+    """Row-major softmax over an (n, k) score matrix, reducing along axis 1."""
+    s = scores - scores.max(axis=1, keepdims=True)
+    p = np.exp(s)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
+def reference_loss_and_grad(W, Xa, labels, l2_reg):
+    n = Xa.shape[0]
+    P = reference_softmax_rows(Xa @ W.T)
+    logp = np.log(np.clip(P[np.arange(n), labels], 1e-300, None))
+    loss = -logp.mean() + 0.5 * l2_reg * float((W[:, :-1] ** 2).sum())
+    P[np.arange(n), labels] -= 1.0
+    G = P.T @ Xa / n
+    G[:, :-1] += l2_reg * W[:, :-1]
+    return loss, G
+
+
+def reference_hessian(W, Xa, l2_reg):
+    n, p = Xa.shape
+    P = reference_softmax_rows(Xa @ W.T)
+    A = (P[:, :, None] * Xa[:, None, :]).reshape(n, -1)
+    H = -A.T @ A / n
+    for c in range(W.shape[0]):
+        H[c * p:(c + 1) * p, c * p:(c + 1) * p] += (P[:, c:c + 1] * Xa).T @ Xa / n
+    H[np.diag_indices_from(H)] += l2_reg * np.tile(np.r_[np.ones(p - 1), 0.0], W.shape[0])
+    return H
+
+
+def kernel_problem(k, n, bias=0.0, seed=0):
+    """Weights, features and labels for a k-class, d=10 problem; `bias` shifts
+    every class's score by about that much."""
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((k, 11))
+    W[:, -1] += bias
+    return W, rng.standard_normal((n, 10)), rng.integers(0, k, size=n)
 
 
 def line_search_problems():
@@ -48,6 +88,48 @@ class TestGradient:
             G_fd = finite_difference_grad(W, Xa, y, k, 1e-4)
             rel = np.linalg.norm(G - G_fd) / max(np.linalg.norm(G_fd), 1e-12)
             assert rel <= 1e-5, f"trial {trial}: relative error {rel:.2e}"
+
+
+class TestRowMajorReference:
+    """The class-major kernels equal the row-major formulas bit for bit while
+    k <= 7. From k = 8 numpy sums a contiguous k-wide row pairwise but a
+    column sequentially, so results may move by rounding."""
+
+    @staticmethod
+    def assert_same(actual, expected, k):
+        if k <= 7:
+            assert np.array_equal(actual, expected)
+        else:
+            expected = np.asarray(expected)
+            np.testing.assert_allclose(actual, expected, rtol=1e-14,
+                                       atol=1e-14 * np.abs(expected).max())
+
+    def check(self, k, n, bias, seed):
+        W, X, y = kernel_problem(k, n, bias=bias, seed=seed)
+        Xa = _augment(X)
+        loss, G = loss_and_grad(W, Xa, y, k, 1e-3)
+        params = ModelParams(weights=W, k=k, d=10)
+        P = predict_proba_matrix(params, X)
+        assert P.shape == (n, k)
+        assert np.isfinite(loss) and np.isfinite(G).all() and np.isfinite(P).all()
+        ref_loss, ref_G = reference_loss_and_grad(W, Xa, y, 1e-3)
+        self.assert_same(loss, ref_loss, k)
+        self.assert_same(G, ref_G, k)
+        self.assert_same(_hessian(W, Xa, 1e-3), reference_hessian(W, Xa, 1e-3), k)
+        ref_P = reference_softmax_rows(Xa @ W.T)
+        self.assert_same(P, ref_P, k)
+        assert accuracy(params, X, y) == float((ref_P.argmax(axis=1) == y).mean())
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 8, 10])
+    @pytest.mark.parametrize("n", [1, 2, 100, 1000])
+    def test_kernels(self, k, n):
+        self.check(k, n, 0.0, seed=k * n)
+
+    @pytest.mark.parametrize("k", [3, 10])
+    @pytest.mark.parametrize("bias", [800.0, -800.0])
+    def test_scores_near_800(self, k, bias):
+        # exp(+-800) overflows or underflows; the max-shift keeps every entry finite
+        self.check(k, 100, bias, seed=k)
 
 
 class TestFit:
@@ -244,3 +326,13 @@ class TestAccuracy:
         params = ModelParams(weights=np.zeros((2, 2)), k=2, d=1)
         with pytest.raises(ValueError):
             accuracy(params, np.zeros((0, 1)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("rows, labels", [
+        (5, np.array([1])),                # one label would broadcast over 5 rows
+        (5, np.array([[1, 1, 1, 1, 1]])),  # shape (1, 5)
+        (0, np.array([1])),                # would be the mean of an empty array
+    ])
+    def test_label_shape_mismatch_rejected(self, rows, labels):
+        params = ModelParams(weights=np.array([[0.0, 5.0], [0.0, -5.0]]), k=2, d=1)
+        with pytest.raises(ValueError, match="labels shape"):
+            accuracy(params, np.zeros((rows, 1)), labels)

@@ -44,6 +44,49 @@ def oracle_smooth(r, chi):
     return [(1 - chi) * x + chi / len(r) for x in r]
 
 
+def reference_score_pool(W, X, chi):
+    """score_pool's row-major formula: softmax and entropy along axis 1 of an
+    (n, k) array."""
+    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+    s = Xa @ W.T
+    s -= s.max(axis=1, keepdims=True)
+    P = np.exp(s)
+    P /= P.sum(axis=1, keepdims=True)
+    V = (1.0 - chi) * P + chi / W.shape[0]
+    return -(V * np.log(V)).sum(axis=1)
+
+
+class TestRowMajorReference:
+    """score_pool's class-major entropy equals the row-major formula bit for
+    bit while k <= 7; from k = 8 the summation order differs by rounding."""
+
+    @staticmethod
+    def check(k, n, bias, seed):
+        rng = np.random.default_rng(seed)
+        W = rng.standard_normal((k, 11))
+        W[:, -1] += bias
+        X = rng.standard_normal((n, 10))
+        u = score_pool(ModelParams(weights=W, k=k, d=10), X,
+                       StrategyConfig(kind=StrategyKind.WEIGHTED, chi=0.05))
+        ref = reference_score_pool(W, X, 0.05)
+        assert u.shape == (n,) and np.isfinite(u).all()
+        if k <= 7:
+            assert np.array_equal(u, ref)
+        else:
+            np.testing.assert_allclose(u, ref, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 8, 10])
+    @pytest.mark.parametrize("n", [1, 2, 100, 1000])
+    def test_matches(self, k, n):
+        self.check(k, n, 0.0, seed=k * n)
+
+    @pytest.mark.parametrize("k", [3, 10])
+    @pytest.mark.parametrize("bias", [800.0, -800.0])
+    def test_scores_near_800(self, k, bias):
+        # exp(+-800) overflows or underflows; the max-shift keeps every entry finite
+        self.check(k, 100, bias, seed=k)
+
+
 class TestEntropy:
     """Entropy as score_pool computes it, at a negligible smoothing floor."""
 
