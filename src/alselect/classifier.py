@@ -9,6 +9,11 @@ Probabilities are held class-major, shape (k, n): the softmax reduces
 down axis 0, k elementwise passes over contiguous rows of n, rather than
 across n rows only k wide. `predict_proba_matrix` returns the (n, k)
 transposed view.
+
+Each Newton step is one LU solve of the Hessian plus the outer product of
+the unit bias-shift vector, which gives the min-norm step while l2_reg > 0,
+no probability has underflowed to 0 and rounding loses no direction of that
+sum; elsewhere `np.linalg.lstsq` (an SVD) solves it (see `fit`).
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Newton iteration cap; no fit in the tests or the benchmark takes more than 13,
-# cold or warm-started
+# Newton iteration cap; no fit in the tests or the benchmark takes more than 13
+# steps, cold or warm-started
 _MAX_ITERS = 500
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -85,15 +91,30 @@ def loss_and_grad(W, Xa, labels, k, l2_reg):
 
 
 def _hessian(W, Xa, l2_reg):
-    """Hessian of `loss_and_grad`'s loss over W.ravel(), shape (k*(d+1))^2."""
+    """Hessian of `loss_and_grad`'s loss over W.ravel(), shape (k*(d+1))^2,
+    and the class-major probabilities P at W it was built from."""
     n, p = Xa.shape
     P = _softmax(W @ Xa.T)
-    A = (P.T[:, :, None] * Xa[:, None, :]).reshape(n, -1)
+    # laid out C-contiguous here, so the reshape needs no second copy
+    A = np.multiply(P.T[:, :, None], Xa[:, None, :], order="C").reshape(n, -1)
     H = -A.T @ A / n
     for c in range(W.shape[0]):
         H[c * p:(c + 1) * p, c * p:(c + 1) * p] += (P[c][:, None] * Xa).T @ Xa / n
     H[np.diag_indices_from(H)] += l2_reg * np.tile(np.r_[np.ones(p - 1), 0.0], W.shape[0])
-    return H
+    return H, P
+
+
+def _clear_of_rounding(A) -> bool:
+    """Whether every Cholesky pivot of the symmetric A exceeds `lstsq`'s own
+    cutoff, size * eps times A's largest diagonal entry. A pivot bounds A's
+    smallest eigenvalue from above, so a pivot under the cutoff, or a
+    factorization that fails, shows a direction lost to rounding, along
+    which an LU solve returns noise where `lstsq` returns 0."""
+    try:
+        pivots = np.linalg.cholesky(A).diagonal() ** 2
+    except np.linalg.LinAlgError:
+        return False
+    return bool(pivots.min() > len(A) * _EPS * A.diagonal().max())
 
 
 def fit(features, labels, n_classes: int, cfg: FitConfig = FitConfig(),
@@ -101,13 +122,33 @@ def fit(features, labels, n_classes: int, cfg: FitConfig = FitConfig(),
     """Train from `init`'s weights (a copy; zero weights when None); stop at
     _MAX_ITERS or gradient inf-norm < tol.
 
-    Each iteration takes the min-norm Newton step (the Hessian is singular
-    along a shift shared by all classes) and halves it until the Armijo
-    condition holds, or stops if 51 halvings cannot lower the loss. The
-    Hessian is (k*(d+1))^2, so the solver targets small k*d like the
-    workloads here. `n_classes` is declared by the dataset: classes absent
-    from `labels` simply receive no gradient pull. Pass a list as
-    `loss_history` to collect the per-iteration loss. A warm start stops at
+    Each iteration takes the min-norm Newton step -H^+ g and halves it
+    until the Armijo condition holds, or stops if 51 halvings cannot lower
+    the loss. The Hessian is (k*(d+1))^2, so the solver targets small k*d
+    like the workloads here.
+
+    The step is one LU solve of H + v v^T, v the unit bias-shift vector
+    (1/sqrt(k) at each class's bias entry, 0 elsewhere), when l2_reg > 0
+    and every probability at W is positive. Then v spans H's null space:
+    the penalty gives every direction that moves a feature weight positive
+    curvature, and a bias-only direction b has curvature
+    mean_i Var_{p_i}(b), which is 0 only for b proportional to the all-ones
+    vector when every p_i is positive. The gradient is orthogonal to v
+    (each row's P - Y sums to 0 over the classes), so H + v v^T is positive
+    definite and its solution is exactly -H^+ g.
+
+    Elsewhere the step is `np.linalg.lstsq`'s min-norm solution (an SVD):
+    at l2_reg = 0 every class-shared shift of the weights is null, and
+    collinear or zero feature columns add more null directions; where a
+    probability has underflowed to 0, its class's bias direction is null
+    too. `lstsq` also takes the steps where H + v v^T is singular to
+    rounding though positive definite in exact arithmetic (a class whose
+    probabilities are all near 1e-18, or a penalty far below the data's
+    curvature along collinear columns); see `_clear_of_rounding`.
+
+    `n_classes` is declared by the dataset: classes absent from `labels`
+    simply receive no gradient pull. Pass a list as `loss_history` to
+    collect the per-iteration loss. A warm start stops at
     a different point inside `tol` than a cold one.
     """
     Xa = _augment(features)
@@ -129,14 +170,23 @@ def fit(features, labels, n_classes: int, cfg: FitConfig = FitConfig(),
                          f"expected k={n_classes}, d={Xa.shape[1] - 1}")
     else:
         W = init.weights.copy()
+    v = np.zeros(W.shape)
+    v[:, -1] = 1.0 / math.sqrt(n_classes)
+    vvT = np.outer(v, v)
     loss, G = loss_and_grad(W, Xa, y, n_classes, cfg.l2_reg)
     for _ in range(_MAX_ITERS):
         if loss_history is not None:
             loss_history.append(loss)
         if np.abs(G).max() < cfg.tol:
             break
-        H = _hessian(W, Xa, cfg.l2_reg)
-        step = -np.linalg.lstsq(H, G.ravel(), rcond=None)[0].reshape(W.shape)
+        H, P = _hessian(W, Xa, cfg.l2_reg)
+        A = H + vvT
+        # P.min() is nan, so not > 0, where the scores overflowed
+        if cfg.l2_reg > 0 and P.min() > 0 and _clear_of_rounding(A):
+            step = np.linalg.solve(A, G.ravel())
+        else:
+            step = np.linalg.lstsq(H, G.ravel(), rcond=None)[0]
+        step = -step.reshape(W.shape)
         slope = float((G * step).sum())
         for t in 0.5 ** np.arange(51):
             trial = W + t * step

@@ -8,6 +8,7 @@ outputs are comparable; smoothing guarantees u > 0 for every pool item.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -82,8 +83,10 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray, b: int,
     """B distinct positions into `scores` under the configured strategy.
 
     Greedy ranks by descending score, ties toward the smaller position.
-    Weighted hands the sampler its weight array (`select_positions`), one
-    merge over all positions, with no per-item (id, weight) stream.
+    eps-Greedy uses the same ranking but finds only the ranks its slots
+    pick, not the whole pool's order. Weighted hands the sampler its
+    weight array (`select_positions`), one merge over all positions, with
+    no per-item (id, weight) stream.
     """
     scores = np.asarray(scores, dtype=np.float64)
     # argmin/argmax return the first NaN, so NaN fails; an empty array passes
@@ -108,20 +111,45 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray, b: int,
         return select_positions(w, b, rng)
 
     if cfg.kind is StrategyKind.GREEDY:
-        # every position scoring at least the B-th largest score, stable-sorted
-        # on -score: descending score, ties toward the smaller position
-        cand = np.flatnonzero(scores >= np.partition(scores, len(scores) - b)[len(scores) - b])
-        return set(cand[np.argsort(-scores[cand], kind="stable")[:b]].tolist())
+        return set(_best(scores, b).tolist())
 
     # EPS_GREEDY: each slot takes the best remaining, or with probability
-    # epsilon a uniform pick among the remaining. Its uniform picks index the
-    # whole ranking, so it sorts the whole pool, ties toward the smaller position.
-    ranked = np.argsort(-scores, kind="stable").tolist()
-    chosen: set[int] = set()
-    for _ in range(b):
+    # epsilon a uniform pick among the remaining. A pick is an index j into
+    # the ranks still free; taken[i] - i free ranks lie below taken[i], so
+    # taken[i] comes before the j-th free rank exactly when that is <= j.
+    n = len(scores)
+    taken: list[int] = []  # ranks taken so far, ascending
+    top = 0  # taken[:top] is 0..top-1, so top is the best free rank
+
+    def free_below(i: int) -> int:
+        return taken[i] - i
+
+    for s in range(b):
         if rng.uniforms_open(1)[0] < cfg.epsilon:
-            j = rng.integers(len(ranked))
+            j = rng.integers(n - s)
+            bisect.insort(taken, j + bisect.bisect_right(range(s), j, lo=top, key=free_below))
         else:
-            j = 0
-        chosen.add(ranked.pop(j))
+            bisect.insort(taken, top)
+        while top <= s and taken[top] == top:
+            top += 1
+    if b - top > math.log2(n):
+        # each rank past the top block costs a pass over the pool; past
+        # log2(n) of them one stable sort of the pool costs less
+        return set(np.argsort(-scores, kind="stable")[taken].tolist())
+    chosen = set(_best(scores, top).tolist())
+    neg = -scores
+    for r in taken[top:]:
+        # the score at rank r, then its (r - #better)-th position in ascending order
+        v = np.partition(neg, r)[r]
+        chosen.add(int(np.flatnonzero(neg == v)[r - np.count_nonzero(neg < v)]))
     return chosen
+
+
+def _best(scores: np.ndarray, m: int) -> np.ndarray:
+    """The m best positions, as `np.argsort(-scores, kind="stable")[:m]`:
+    every position scoring at least the m-th largest score, stable-sorted
+    on -score (descending score, ties toward the smaller position)."""
+    if m == 0:
+        return np.empty(0, dtype=np.int64)
+    cand = np.flatnonzero(scores >= np.partition(scores, len(scores) - m)[len(scores) - m])
+    return cand[np.argsort(-scores[cand], kind="stable")[:m]]

@@ -1,7 +1,8 @@
 """Logistic-regression learner tests: gradient correctness against central
 finite differences, the class-major kernels against row-major reference
-formulas, monotone loss, convergence to the gradient tolerance, warm
-starts, boundary behaviors, and determinism."""
+formulas, the Newton step against a min-norm lstsq reference, monotone
+loss, convergence to the gradient tolerance, warm starts, boundary
+behaviors, and determinism."""
 
 import numpy as np
 import pytest
@@ -52,6 +53,31 @@ def reference_hessian(W, Xa, l2_reg):
         H[c * p:(c + 1) * p, c * p:(c + 1) * p] += (P[:, c:c + 1] * Xa).T @ Xa / n
     H[np.diag_indices_from(H)] += l2_reg * np.tile(np.r_[np.ones(p - 1), 0.0], W.shape[0])
     return H
+
+
+def reference_fit(X, y, k, cfg, init=None):
+    """`fit` as it stood with a min-norm `lstsq` solve for every Newton step:
+    (weights, loss history)."""
+    Xa = _augment(X)
+    W = np.zeros((k, Xa.shape[1])) if init is None else init.weights.copy()
+    losses = []
+    loss, G = loss_and_grad(W, Xa, y, k, cfg.l2_reg)
+    for _ in range(_MAX_ITERS):
+        losses.append(loss)
+        if np.abs(G).max() < cfg.tol:
+            break
+        H = _hessian(W, Xa, cfg.l2_reg)[0]
+        step = -np.linalg.lstsq(H, G.ravel(), rcond=None)[0].reshape(W.shape)
+        slope = float((G * step).sum())
+        for t in 0.5 ** np.arange(51):
+            trial = W + t * step
+            trial_loss, trial_G = loss_and_grad(trial, Xa, y, k, cfg.l2_reg)
+            if trial_loss <= loss + 1e-4 * t * slope:
+                W, loss, G = trial, trial_loss, trial_G
+                break
+        else:
+            break
+    return W, losses
 
 
 def kernel_problem(k, n, bias=0.0, seed=0):
@@ -115,7 +141,7 @@ class TestRowMajorReference:
         ref_loss, ref_G = reference_loss_and_grad(W, Xa, y, 1e-3)
         self.assert_same(loss, ref_loss, k)
         self.assert_same(G, ref_G, k)
-        self.assert_same(_hessian(W, Xa, 1e-3), reference_hessian(W, Xa, 1e-3), k)
+        self.assert_same(_hessian(W, Xa, 1e-3)[0], reference_hessian(W, Xa, 1e-3), k)
         ref_P = reference_softmax_rows(Xa @ W.T)
         self.assert_same(P, ref_P, k)
         assert accuracy(params, X, y) == float((ref_P.argmax(axis=1) == y).mean())
@@ -130,6 +156,88 @@ class TestRowMajorReference:
     def test_scores_near_800(self, k, bias):
         # exp(+-800) overflows or underflows; the max-shift keeps every entry finite
         self.check(k, 100, bias, seed=k)
+
+
+class TestNewtonStep:
+    """The LU solve of H + v v^T gives the min-norm step that `lstsq` gives;
+    `lstsq` still solves the steps where H has more than the one null
+    direction, or where rounding leaves H + v v^T numerically singular."""
+
+    @staticmethod
+    def problem(k, seed):
+        rng = np.random.default_rng(seed)
+        y = np.r_[np.arange(k), rng.integers(0, k, size=15 * k - k)]
+        X = rng.standard_normal((15 * k, 4)) + 1.5 * np.eye(k, 4)[y]
+        return X, y
+
+    @staticmethod
+    def absent_class(bias):
+        """Two of three classes labeled; the third starts at `bias`."""
+        rng = np.random.default_rng(0)
+        X, y = rng.standard_normal((60, 4)), rng.integers(0, 2, size=60)
+        W = np.zeros((3, 5))
+        W[2, -1] = bias
+        return X, y, ModelParams(weights=W, k=3, d=4)
+
+    @staticmethod
+    def assert_converged(params, X, y, k, cfg):
+        _, G = loss_and_grad(params.weights, _augment(X), y, k, cfg.l2_reg)
+        assert np.abs(G).max() < cfg.tol
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("l2_reg", [1e-4, 5.0, 50.0])
+    def test_matches_lstsq_reference(self, k, l2_reg):
+        cfg = FitConfig(l2_reg=l2_reg)
+        for seed in range(3):
+            X, y = self.problem(k, seed)
+            losses = []
+            params = fit(X, y, k, cfg, loss_history=losses)
+            ref_W, ref_losses = reference_fit(X, y, k, cfg)
+            assert len(losses) == len(ref_losses)
+            np.testing.assert_allclose(params.weights, ref_W, rtol=1e-9)
+
+    def test_solves_without_lstsq(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refused)
+        X, y = self.problem(3, 0)
+        losses = []
+        self.assert_converged(fit(X, y, 3, FitConfig(), loss_history=losses), X, y, 3, FitConfig())
+        assert len(losses) > 2
+
+    @pytest.mark.parametrize("X, y", [
+        (np.array([[-1.0], [1.0]]), np.array([0, 1])),  # separable pair
+        (np.c_[np.random.default_rng(1).standard_normal((30, 2)), np.zeros(30)],
+         np.random.default_rng(1).integers(0, 3, size=30)),  # zero feature column
+    ], ids=["separable_pair", "zero_column"])
+    def test_l2_zero_matches_reference_bytes(self, X, y):
+        cfg = FitConfig(l2_reg=0.0)
+        k = int(y.max()) + 1
+        assert np.array_equal(fit(X, y, k, cfg).weights, reference_fit(X, y, k, cfg)[0])
+
+    # at -1300 and -1000 the absent class's probabilities underflow to 0; at
+    # -40 they are about 1e-18, positive, yet H + v v^T is singular to
+    # rounding and its LU solve raises LinAlgError
+    @pytest.mark.parametrize("bias", [-1300.0, -1000.0, -40.0])
+    def test_absent_class_matches_reference_bytes(self, bias):
+        X, y, init = self.absent_class(bias)
+        cfg = FitConfig(l2_reg=1e-4)
+        params = fit(X, y, 3, cfg, init=init)
+        self.assert_converged(params, X, y, 3, cfg)
+        assert np.array_equal(params.weights, reference_fit(X, y, 3, cfg, init=init)[0])
+
+    @pytest.mark.parametrize("l2_reg", [1e-30, 1e-20])
+    def test_penalty_below_rounding_matches_reference_bytes(self, l2_reg):
+        # a repeated feature column: the penalty is H's only curvature along
+        # the difference of its two weights, and it is lost to rounding
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((40, 2))
+        X, y = np.c_[x, x[:, 0]], rng.integers(0, 3, size=40)
+        cfg = FitConfig(l2_reg=l2_reg)
+        params = fit(X, y, 3, cfg)
+        self.assert_converged(params, X, y, 3, cfg)
+        assert np.array_equal(params.weights, reference_fit(X, y, 3, cfg)[0])
 
 
 class TestFit:

@@ -28,6 +28,17 @@ def make_scores(values):
     return np.asarray(values, dtype=float)
 
 
+def reference_eps_greedy(scores, b, epsilon, rng):
+    """eps-Greedy by popping from the whole pool's stable ranking, one slot
+    at a time."""
+    ranked = np.argsort(-scores, kind="stable").tolist()
+    chosen = set()
+    for _ in range(b):
+        j = rng.integers(len(ranked)) if rng.uniforms_open(1)[0] < epsilon else 0
+        chosen.add(ranked.pop(j))
+    return chosen
+
+
 class TestScorePool:
     def test_zero_weights_give_max_entropy(self):
         k, d = 4, 3
@@ -170,6 +181,23 @@ class TestEpsGreedy:
         out = select_batch(StrategyConfig(kind=StrategyKind.EPS_GREEDY, epsilon=0.3),
                            make_scores(u), 10, RngState(1))
         assert out == set(range(10))
+
+    @given(n=st.one_of(st.integers(1, 60), st.sampled_from([_CHUNK - 1, _CHUNK, 6000])),
+           n_values=st.one_of(st.integers(1, 5), st.none()),
+           b_pick=st.one_of(st.sampled_from(["one", "all"]), st.floats(0.0, 1.0)),
+           epsilon=st.one_of(st.sampled_from([0.0, 0.05, 0.5, 1.0]), st.floats(0.0, 1.0)),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pop_reference(self, n, n_values, b_pick, epsilon, seed):
+        # a handful of distinct scores (None: all distinct), so ties are common;
+        # small pools and large batches reach the sort of the whole pool
+        g = np.random.default_rng(seed)
+        u = g.uniform(0.1, 2.0, n) if n_values is None else g.choice(g.uniform(0.1, 2.0, n_values), n)
+        b = 1 if b_pick == "one" else n if b_pick == "all" else 1 + int(b_pick * (n - 1))
+        cfg = StrategyConfig(kind=StrategyKind.EPS_GREEDY, epsilon=epsilon)
+        rng, ref_rng = RngState(seed), RngState(seed)
+        assert select_batch(cfg, u, b, rng) == reference_eps_greedy(u, b, epsilon, ref_rng)
+        assert rng.uniforms_open(1)[0] == ref_rng.uniforms_open(1)[0]
 
 
 class TestWeighted:
