@@ -120,7 +120,9 @@ def _clear_of_rounding(A) -> bool:
 def fit(features, labels, n_classes: int, cfg: FitConfig = FitConfig(),
         loss_history: list | None = None, init: ModelParams | None = None) -> ModelParams:
     """Train from `init`'s weights (a copy; zero weights when None); stop at
-    _MAX_ITERS or gradient inf-norm < tol.
+    _MAX_ITERS, at gradient inf-norm < tol, or once the Newton step's
+    predicted decrease -g.step is at most eps * |loss|, below what the loss
+    can register.
 
     Each iteration takes the min-norm Newton step -H^+ g and halves it
     until the Armijo condition holds, or stops if 51 halvings cannot lower
@@ -188,6 +190,10 @@ def fit(features, labels, n_classes: int, cfg: FitConfig = FitConfig(),
             step = np.linalg.lstsq(H, G.ravel(), rcond=None)[0]
         step = -step.reshape(W.shape)
         slope = float((G * step).sum())
+        # a predicted decrease below the loss's rounding cannot register in
+        # the Armijo test, so no step could make progress that shows
+        if -slope <= _EPS * abs(loss):
+            break
         for t in 0.5 ** np.arange(51):
             trial = W + t * step
             trial_loss, trial_G = loss_and_grad(trial, Xa, y, n_classes, cfg.l2_reg)

@@ -155,8 +155,10 @@ def select_top_k(
     into the retained set by log key descending, ties toward the smaller id.
     This is the chunked form of `select_positions`, for streams of ids.
 
-    Raises ValueError when the stream holds fewer than K items, ids repeat
-    or a weight is out of range.
+    Raises ValueError when the stream holds fewer than K items, a weight is
+    out of range, or a repeated id reaches the result (fewer than K distinct
+    ids kept). A repeat that does not reach it passes unreported: finding
+    every repeat would take O(n) memory, not O(K).
     """
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
@@ -187,7 +189,9 @@ def uniform_sample(ids: Iterable[int], k: int, rng: RngState) -> set[int]:
     each chunk takes all its j in one `integers` call and then applies the
     hits in stream order; result and rng state match one draw per id.
     Every K-subset of the stream is equally likely. Raises ValueError when
-    the stream holds fewer than K ids or ids repeat.
+    the stream holds fewer than K ids or a repeated id reaches the
+    reservoir's result; a repeat that does not reach it passes unreported,
+    since finding every repeat would take O(n) memory, not O(K).
     """
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")

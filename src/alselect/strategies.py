@@ -1,6 +1,7 @@
 """The four batch-selection strategies behind one interface:
-uniform Random, top-B Greedy, per-slot epsilon-Greedy, and streaming
-entropy-weighted sampling (exponent d applied to the score).
+uniform Random, top-B Greedy, per-slot epsilon-Greedy (each slot the best
+remaining position, or with probability epsilon a uniform remaining one),
+and streaming entropy-weighted sampling (exponent d applied to the score).
 
 All strategies rank or weight by the same smoothed entropy u so their
 outputs are comparable; smoothing guarantees u > 0 for every pool item.
@@ -83,8 +84,10 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray, b: int,
     """B distinct positions into `scores` under the configured strategy.
 
     Greedy ranks by descending score, ties toward the smaller position.
-    eps-Greedy uses the same ranking but finds only the ranks its slots
-    pick, not the whole pool's order. Weighted hands the sampler its
+    eps-Greedy's greedy slots take Greedy's top B in that order, skipping
+    positions already taken; a uniform slot takes the j-th remaining
+    position in ascending position order, j uniform, so no slot needs the
+    whole pool's ranking. Weighted hands the sampler its
     weight array (`select_positions`), one merge over all positions, with
     no per-item (id, weight) stream.
     """
@@ -113,43 +116,33 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray, b: int,
     if cfg.kind is StrategyKind.GREEDY:
         return set(_best(scores, b).tolist())
 
-    # EPS_GREEDY: each slot takes the best remaining, or with probability
-    # epsilon a uniform pick among the remaining. A pick is an index j into
-    # the ranks still free; taken[i] - i free ranks lie below taken[i], so
-    # taken[i] comes before the j-th free rank exactly when that is <= j.
+    # EPS_GREEDY: each slot takes the best remaining position, or with
+    # probability epsilon a uniform pick among the remaining: the j-th free
+    # position in ascending order. taken[i] - i free positions lie below
+    # taken[i], so taken[i] comes before the j-th free position exactly when
+    # that is <= j. A greedy slot skips only positions taken before it, so
+    # the b best positions always hold one that is free.
     n = len(scores)
-    taken: list[int] = []  # ranks taken so far, ascending
-    top = 0  # taken[:top] is 0..top-1, so top is the best free rank
-
-    def free_below(i: int) -> int:
-        return taken[i] - i
-
+    best = _best(scores, b).tolist()
+    taken: list[int] = []  # positions taken so far, ascending
+    chosen: set[int] = set()
+    g = 0  # best[:g] are all taken
     for s in range(b):
         if rng.uniforms_open(1)[0] < cfg.epsilon:
             j = rng.integers(n - s)
-            bisect.insort(taken, j + bisect.bisect_right(range(s), j, lo=top, key=free_below))
+            p = j + bisect.bisect_right(range(s), j, key=lambda i: taken[i] - i)
         else:
-            bisect.insort(taken, top)
-        while top <= s and taken[top] == top:
-            top += 1
-    if b - top > math.log2(n):
-        # each rank past the top block costs a pass over the pool; past
-        # log2(n) of them one stable sort of the pool costs less
-        return set(np.argsort(-scores, kind="stable")[taken].tolist())
-    chosen = set(_best(scores, top).tolist())
-    neg = -scores
-    for r in taken[top:]:
-        # the score at rank r, then its (r - #better)-th position in ascending order
-        v = np.partition(neg, r)[r]
-        chosen.add(int(np.flatnonzero(neg == v)[r - np.count_nonzero(neg < v)]))
+            while best[g] in chosen:
+                g += 1
+            p = best[g]
+        bisect.insort(taken, p)
+        chosen.add(p)
     return chosen
 
 
 def _best(scores: np.ndarray, m: int) -> np.ndarray:
     """The m best positions, as `np.argsort(-scores, kind="stable")[:m]`:
     every position scoring at least the m-th largest score, stable-sorted
-    on -score (descending score, ties toward the smaller position)."""
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
+    on -score (descending score, ties toward the smaller position); m >= 1."""
     cand = np.flatnonzero(scores >= np.partition(scores, len(scores) - m)[len(scores) - m])
     return cand[np.argsort(-scores[cand], kind="stable")[:m]]

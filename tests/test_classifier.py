@@ -311,6 +311,20 @@ class TestFit:
             assert np.abs(G).max() < cfg.tol
             assert len(losses) < _MAX_ITERS
 
+    @pytest.mark.parametrize("seed", [23, 28])
+    def test_stops_when_the_loss_cannot_register_progress(self, seed):
+        # at tol=1e-10 the gradient stays above tol once the predicted
+        # decrease is below the loss's rounding; fit stops there, not
+        # after _MAX_ITERS steps that leave the loss unchanged
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((60, 1))
+        y = rng.integers(0, 2, 60)
+        losses = []
+        params = fit(X, y, 2, FitConfig(l2_reg=1.0, tol=1e-10), loss_history=losses)
+        assert len(losses) < 10
+        _, G = loss_and_grad(params.weights, _augment(X), y, 2, 1.0)
+        assert np.abs(G).max() < 1e-7
+
     def test_absent_class_still_scored(self):
         X = np.array([[-1.0], [1.0], [-2.0], [2.0]])
         y = np.array([0, 1, 0, 1])

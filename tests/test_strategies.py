@@ -1,7 +1,9 @@
 """Selection-strategy tests: scoring chain, the four policies, and their
 limit behaviors (d=0 uniform, d large greedy-like, eps=0 greedy)."""
 
+import bisect
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,8 +31,27 @@ def make_scores(values):
 
 
 def reference_eps_greedy(scores, b, epsilon, rng):
+    """eps-Greedy by popping one slot at a time from the remaining positions
+    in ascending order: a uniform slot pops the j-th, a greedy slot the best
+    remaining one in the stable ranking."""
+    remaining = list(range(len(scores)))
+    ranked = iter(np.argsort(-scores, kind="stable").tolist())
+    chosen = set()
+    for _ in range(b):
+        if rng.uniforms_open(1)[0] < epsilon:
+            pick = remaining.pop(rng.integers(len(remaining)))
+        else:
+            # positions the iterator passes over are chosen for good
+            pick = next(p for p in ranked if p not in chosen)
+            remaining.pop(bisect.bisect_left(remaining, pick))
+        chosen.add(pick)
+    return chosen
+
+
+def rank_order_eps_greedy(scores, b, epsilon, rng):
     """eps-Greedy by popping from the whole pool's stable ranking, one slot
-    at a time."""
+    at a time: a uniform slot pops the j-th remaining rank. Same batch
+    distribution as `reference_eps_greedy`, different batch per rng state."""
     ranked = np.argsort(-scores, kind="stable").tolist()
     chosen = set()
     for _ in range(b):
@@ -189,8 +210,7 @@ class TestEpsGreedy:
            seed=st.integers(0, 2**16))
     @settings(max_examples=300, deadline=None)
     def test_matches_pop_reference(self, n, n_values, b_pick, epsilon, seed):
-        # a handful of distinct scores (None: all distinct), so ties are common;
-        # small pools and large batches reach the sort of the whole pool
+        # a handful of distinct scores (None: all distinct), so ties are common
         g = np.random.default_rng(seed)
         u = g.uniform(0.1, 2.0, n) if n_values is None else g.choice(g.uniform(0.1, 2.0, n_values), n)
         b = 1 if b_pick == "one" else n if b_pick == "all" else 1 + int(b_pick * (n - 1))
@@ -198,6 +218,24 @@ class TestEpsGreedy:
         rng, ref_rng = RngState(seed), RngState(seed)
         assert select_batch(cfg, u, b, rng) == reference_eps_greedy(u, b, epsilon, ref_rng)
         assert rng.uniforms_open(1)[0] == ref_rng.uniforms_open(1)[0]
+
+    def test_batch_distribution_matches_rank_order(self):
+        # a uniform slot indexes remaining positions, the rank-order oracle
+        # remaining ranks; both pick uniformly among the remaining items, so
+        # every subset's frequency agrees within 4.5 standard errors of the
+        # difference of two independent frequencies
+        u = make_scores([1.0, 2.0, 2.0, 0.5, 2.0, 1.0])
+        cfg = StrategyConfig(kind=StrategyKind.EPS_GREEDY, epsilon=0.5)
+        draws = 20000
+        rng, oracle_rng = RngState(11), RngState(12)
+        new, old = Counter(), Counter()
+        for _ in range(draws):
+            new[frozenset(select_batch(cfg, u, 3, rng))] += 1
+            old[frozenset(rank_order_eps_greedy(u, 3, 0.5, oracle_rng))] += 1
+        assert len(new | old) == 20  # every 3-subset of 6 is reachable
+        for subset in new | old:
+            p = (new[subset] + old[subset]) / (2 * draws)
+            assert abs(new[subset] - old[subset]) / draws <= 4.5 * math.sqrt(2 * p * (1 - p) / draws)
 
 
 class TestWeighted:
