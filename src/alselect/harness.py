@@ -102,7 +102,7 @@ def biased_init(labels: Sequence[int], n0: int, k: int, rng: RngState) -> set[in
         if len(members) < quota:
             raise ConfigError(f"class {c} has {len(members)} instances, needs {quota} "
                               "for the initial labeled set; lower n0")
-        chosen |= uniform_sample(members.tolist(), quota, rng)
+        chosen |= uniform_sample(members, quota, rng)
     return chosen
 
 
@@ -113,7 +113,7 @@ def holdout_ids(n: int, cfg: ExperimentConfig) -> set[int]:
     if size == 0:
         raise ConfigError(f"holdout_fraction = {cfg.holdout_fraction} leaves no holdout "
                           f"rows in a dataset of {n} rows")
-    return uniform_sample(range(n), size, RngState(cfg.master_seed).derive(_HOLDOUT))
+    return uniform_sample(np.arange(n), size, RngState(cfg.master_seed).derive(_HOLDOUT))
 
 
 def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list[RoundRecord]:
@@ -146,6 +146,9 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
             f"n0 + rounds*batch = {cfg.n0 + cfg.rounds * cfg.batch} exceeds "
             f"the {len(remaining)} ids left after the holdout split"
         )
+    if cfg.strategy.chi / dataset.k == 0.0:
+        raise ConfigError(f"chi = {cfg.strategy.chi} is too small for k = {dataset.k} classes: "
+                          "chi/k rounds to 0.0 and leaves the scores no smoothing floor")
 
     init_rng = master.derive(_INIT, trial_index)
     select_rng = master.derive(_SELECT, trial_index)

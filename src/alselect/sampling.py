@@ -1,13 +1,14 @@
-"""Single-pass weighted sampling without replacement via exponent keys,
-plus classic uniform reservoir sampling.
+"""Single-pass weighted sampling without replacement via exponent keys.
 
 An item with weight u gets key a^(1/u) for a ~ unif(0,1); keeping the K
 largest keys realizes weighted sampling without replacement in one pass
 with O(K) retained items. Keys are compared in log space (ln a / u, a
 strictly monotone transform) so that huge weights cannot collapse distinct
-keys onto 1.0 through float rounding. One merge serves both entry points:
-`select_positions` runs it once over a weight array, `select_top_k` once per
-chunk of an (id, weight) stream. It merges a block into the retained items
+keys onto 1.0 through float rounding. One merge serves every entry point:
+`select_positions` runs it once over a weight array, `uniform_sample` once
+over an id array at equal weights (the keys ln a are then i.i.d., so the
+top K is a uniform K-subset), and `select_top_k` once per chunk of an
+(id, weight) stream. It merges a block into the retained items
 by one `lexsort`, after a `partition` has dropped every key below the K-th
 best when the merge holds many more than K candidates.
 """
@@ -64,12 +65,9 @@ class RngState:
             arr[arr == 0.0] = self._gen.random(n_zero)
         return arr
 
-    def integers(self, high: int | np.ndarray) -> int | np.ndarray:
-        """Integers uniform on [0, high): an int for an int high, an int64
-        array for an array of highs. An array consumes the same stream as
-        one scalar draw per high, in order."""
-        out = self._gen.integers(0, high)
-        return out if isinstance(out, np.ndarray) else int(out)
+    def integers(self, high: int) -> int:
+        """An integer uniform on [0, high)."""
+        return int(self._gen.integers(0, high))
 
     def standard_normal(self, shape) -> np.ndarray:
         return self._gen.standard_normal(shape)
@@ -127,16 +125,45 @@ def select_positions(weights, k: int, rng: RngState) -> set[int]:
     exactly zero (probability 2**-53 per draw): it is redrawn after the
     whole array rather than after its chunk, so later draws shift.
     """
+    w = np.asarray(weights, dtype=np.float64)
+    return _sample(np.arange(w.size), w, k, rng)
+
+
+def uniform_sample(ids, k: int, rng: RngState) -> set[int]:
+    """K ids drawn uniformly without replacement from a 1-D int array.
+
+    The weighted sampler at equal weights: one merge over `np.ones(len(ids))`,
+    whose keys ln a are i.i.d., so every K-subset is equally likely. It reads
+    the rng as `select_positions(np.ones(len(ids)), k, rng)` does and returns
+    the ids at the positions that call picks; exact key ties go to the
+    smaller id, which is the smaller position when the ids ascend. Raises
+    ValueError when K < 1, fewer than K ids are given, or a repeated id
+    reaches the result; a repeat that does not reach it passes unreported.
+    """
+    ids = np.asarray(ids)
+    return _sample(ids, np.ones(ids.shape), k, rng)
+
+
+def _sample(ids: np.ndarray, w: np.ndarray, k: int, rng: RngState) -> set[int]:
+    """K distinct ids out of one block by one merge, with the checks of
+    `select_positions` and `uniform_sample`."""
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
-    w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1:
         raise ValueError(f"weights must be a 1-D array, got shape {w.shape}")
     if len(w):  # merged before the count check, so a bad weight is reported first
-        ids, _ = _merge(None, None, np.arange(len(w)), w, k, rng)
-    if len(w) < k:
-        raise ValueError(f"requested {k} items but only {len(w)} available")
-    return set(ids.tolist())
+        ids, _ = _merge(None, None, ids, w, k, rng)
+    return _chosen(ids, len(w), k)
+
+
+def _chosen(kept_ids: np.ndarray | None, n_seen: int, k: int) -> set[int]:
+    """The kept ids as a set, once n_seen items are merged: fewer than K
+    items, or fewer than K distinct ids kept, is an error."""
+    if n_seen < k:
+        raise ValueError(f"requested {k} items but only {n_seen} available")
+    if len(chosen := set(kept_ids.tolist())) < k:
+        raise ValueError("ids must be distinct")
+    return chosen
 
 
 def select_top_k(
@@ -173,39 +200,4 @@ def select_top_k(
         if stats is not None:
             stats.items_seen = n_seen
             stats.peak_retained = max(stats.peak_retained, len(kept_ids))
-
-    if n_seen < k:
-        raise ValueError(f"requested {k} items but only {n_seen} available")
-    if len(chosen := set(kept_ids.tolist())) < k:
-        raise ValueError("ids must be distinct")
-    return chosen
-
-
-def uniform_sample(ids: Iterable[int], k: int, rng: RngState) -> set[int]:
-    """K ids drawn uniformly without replacement, single pass (reservoir).
-
-    Vitter's Algorithm R: the n-th id (0-based, n >= K) replaces slot j for
-    j ~ unif[0, n] when j < K. The draws do not depend on the reservoir, so
-    each chunk takes all its j in one `integers` call and then applies the
-    hits in stream order; result and rng state match one draw per id.
-    Every K-subset of the stream is equally likely. Raises ValueError when
-    the stream holds fewer than K ids or a repeated id reaches the
-    reservoir's result; a repeat that does not reach it passes unreported,
-    since finding every repeat would take O(n) memory, not O(K).
-    """
-    if k < 1:
-        raise ValueError(f"K must be >= 1, got {k}")
-    items = iter(ids)
-    reservoir = list(itertools.islice(items, k))
-    n = len(reservoir)
-    while chunk := list(itertools.islice(items, _CHUNK)):
-        j = rng.integers(np.arange(n + 1, n + len(chunk) + 1))
-        hits = np.flatnonzero(j < k)
-        for pos, slot in zip(hits.tolist(), j[hits].tolist()):
-            reservoir[slot] = chunk[pos]
-        n += len(chunk)
-    if n < k:
-        raise ValueError(f"requested {k} items but only {n} available")
-    if len(chosen := set(reservoir)) < k:
-        raise ValueError("ids must be distinct")
-    return chosen
+    return _chosen(kept_ids, n_seen, k)

@@ -43,11 +43,12 @@ class StrategyConfig:
     """Selection policy parameters.
 
     epsilon applies only to EPS_GREEDY (default 0.05); chi is the smoothing
-    floor used when scoring; exponent_d applies only to WEIGHTED, where
-    d=1 is plain entropy-proportional sampling, d=0 collapses to uniform,
-    and large d approaches Greedy. Every finite d >= 0 runs; once
-    d*ln(u_(B)/u_(B+1)) > 40.4 for the B-th and (B+1)-th largest scores,
-    WEIGHTED returns exactly Greedy's top B.
+    floor used when scoring (a run also needs chi/k > 0 for its k classes);
+    exponent_d applies only to WEIGHTED, where d=1 is plain
+    entropy-proportional sampling, d=0 is RANDOM (the same batch and the
+    same draws from an equal rng), and large d approaches Greedy. Every
+    finite d >= 0 runs; once d*ln(u_(B)/u_(B+1)) > 40.4 for the B-th and
+    (B+1)-th largest scores, WEIGHTED returns exactly Greedy's top B.
     """
 
     kind: StrategyKind
@@ -89,7 +90,7 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray, b: int,
     position in ascending position order, j uniform, so no slot needs the
     whole pool's ranking. Weighted hands the sampler its
     weight array (`select_positions`), one merge over all positions, with
-    no per-item (id, weight) stream.
+    no per-item (id, weight) stream; Random is that merge at equal weights.
     """
     scores = np.asarray(scores, dtype=np.float64)
     # argmin/argmax return the first NaN, so NaN fails; an empty array passes
@@ -102,7 +103,7 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray, b: int,
         raise ValueError(f"requested {b} items but only {len(scores)} available")
 
     if cfg.kind is StrategyKind.RANDOM:
-        return uniform_sample(range(len(scores)), b, rng)
+        return uniform_sample(np.arange(len(scores)), b, rng)
 
     if cfg.kind is StrategyKind.WEIGHTED:
         # exponent keys over (u/u_B)^d, u_B the B-th largest score; scaling

@@ -214,7 +214,9 @@ class TestRun:
         ("0.4,0.35,0.25", {"holdout_fraction": 0.001},
          "holdout_fraction = 0.001 leaves no holdout rows in a dataset of 600 rows"),
         ("0.49,0.49,0.02", {"n0": 60}, "needs 20 for the initial labeled set; lower n0"),
-    ], ids=["budget", "empty_holdout", "class_quota"])
+        ("0.4,0.35,0.25", {"chi": 5e-324, "l2_reg": 0},
+         "chi = 5e-324 is too small for k = 3 classes: chi/k rounds to 0.0"),
+    ], ids=["budget", "empty_holdout", "class_quota", "chi_underflow"])
     def test_infeasible_run_is_config_error(self, capsys, tmp_path, prevalence, overrides,
                                             message):
         csv_path = make_synth(capsys, tmp_path, prevalence=prevalence)

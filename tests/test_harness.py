@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from alselect.classifier import accuracy, fit
+from alselect.classifier import FitConfig, accuracy, fit
 from alselect.data import standardize_apply, standardize_fit
 from alselect.errors import ConfigError, VacuousBoundError
 from alselect import cli, harness
@@ -134,6 +134,28 @@ class TestRunTrial:
             run_trial(dataset, small_config(holdout_fraction=0.001), 0)
         assert fits == []
         assert not getattr(exc.value, "__notes__", [])
+
+    def test_chi_underflow_rejected_before_any_fit(self, monkeypatch):
+        # chi/k == 0.0 leaves score_pool no smoothing floor, so a row with an
+        # exactly-zero probability would score nan rounds into the run
+        dataset, _ = generate_pocket_dataset(small_spec())
+        fits = []
+        monkeypatch.setattr(harness, "fit", lambda *args: fits.append(args))
+        cfg = small_config(strategy=StrategyConfig(kind=StrategyKind.GREEDY, chi=5e-324))
+        with pytest.raises(ConfigError, match="chi = 5e-324 is too small for k = 3 classes") as exc:
+            run_trial(dataset, cfg, 0)
+        assert fits == []
+        assert not getattr(exc.value, "__notes__", [])
+
+    @pytest.mark.parametrize("kind", list(StrategyKind))
+    def test_smallest_chi_floor_runs(self, kind):
+        # chi/k = 5e-324, the smallest floor; unregularised fits on this data
+        # give probabilities of exactly 0, which at chi = 5e-324 scored nan
+        dataset, _ = generate_pocket_dataset(small_spec(
+            n=2000, d=10, beta=0.1, pool_prevalence=(1 / 3, 1 / 3, 1 / 3), pocket_class=0))
+        cfg = small_config(strategy=StrategyConfig(kind=kind, chi=1.5e-323), fit=FitConfig(l2_reg=0.0),
+                           n0=60, rounds=5, batch=20, trials=1, master_seed=1)
+        assert len(run_experiment(dataset, cfg).records) == 6
 
     # at chi=0.1, k=3 the raw weights u**d left the float range past d = 572.29
     # (d=575 overflowed select_top_k's ln(a)/w, d=5000 gave a weight of 0);

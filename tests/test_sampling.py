@@ -1,4 +1,5 @@
-"""Exponent-key sampling and uniform reservoir tests.
+"""Exponent-key sampling tests; uniform sampling is the same merge at
+equal weights.
 
 Monte Carlo checks here run at reduced draw counts with correspondingly
 wider tolerances (>= 4 binomial SE); the full-size versions with the spec
@@ -57,13 +58,6 @@ class TestRngState:
         m = RngState(1).uniforms_open(100000) * 2.0**53
         assert (m == np.floor(m)).all()
         assert m.min() >= 1.0 and m.max() <= 2.0**53 - 1.0
-
-    def test_integers_array_matches_scalar(self):
-        highs = np.arange(1, 3000)
-        c = RngState(5)
-        scalars = [c.integers(int(h)) for h in highs]
-        assert all(type(j) is int for j in scalars)
-        assert RngState(5).integers(highs).tolist() == scalars
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
@@ -441,49 +435,49 @@ class TestUniformSample:
     def test_determinism(self):
         assert uniform_sample(range(100), 10, RngState(4)) == uniform_sample(range(100), 10, RngState(4))
 
+    def test_inclusion_frequencies_across_chunks(self):
+        # every id of a pool larger than _CHUNK is kept with probability K/n;
+        # the Pearson statistic over all n ids has mean n and sd about sqrt(2n)
+        n, k, draws = 2 * _CHUNK + 1, _CHUNK, 400
+        counts = np.zeros(n)
+        rng = RngState(12)
+        for _ in range(draws):
+            counts[list(uniform_sample(np.arange(n), k, rng))] += 1
+        p = k / n
+        stat = ((counts - draws * p) ** 2).sum() / (draws * p * (1 - p))
+        assert abs(stat - n) < 5 * math.sqrt(2 * n)
+
     @pytest.mark.parametrize("k", [1, 3, 50, _CHUNK + 7])
     @pytest.mark.parametrize("extra", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
     def test_matches_per_item_oracle(self, k, extra):
         # n = K, K+1, and K + _CHUNK-1 / _CHUNK / _CHUNK+1 / 2*_CHUNK+1, so
-        # the per-chunk draw meets every chunk edge; K > _CHUNK included
+        # the merge meets every chunk edge and partitions past K + 512; the
+        # draw is select_positions' at equal weights, the same next draw too
         n = k + extra
-        ids = np.random.default_rng(n).permutation(10 * n).tolist()[:n]
-        got_rng, oracle_rng = RngState(17, (n, k)), RngState(17, (n, k))
-        assert uniform_sample(ids, k, got_rng) == oracle_uniform_sample(ids, k, oracle_rng)
-        assert got_rng.integers(1 << 40) == oracle_rng.integers(1 << 40)
+        ids = np.random.default_rng(n).permutation(10 * n)[:n]
+        got_rng, oracle_rng, positions_rng = (RngState(17, (n, k)) for _ in range(3))
+        got = uniform_sample(ids, k, got_rng)
+        assert got == oracle_uniform_sample(ids, k, oracle_rng)
+        assert got == {ids[p] for p in select_positions(np.ones(n), k, positions_rng)}
+        next_draws = {r.uniforms_open(1)[0] for r in (got_rng, oracle_rng, positions_rng)}
+        assert len(next_draws) == 1
 
     def test_chained_calls_match_oracle(self):
         got_rng, oracle_rng = RngState(23), RngState(23)
         for call in range(20):
             n, k = 50 + 997 * call, 1 + call % 7
-            assert uniform_sample(range(n), k, got_rng) == oracle_uniform_sample(range(n), k, oracle_rng)
-        assert got_rng.integers(1 << 40) == oracle_rng.integers(1 << 40)
-
-    def test_one_shot_generator_read_once(self):
-        pulled = []
-
-        def stream():
-            for i in range(2 * _CHUNK + 5):
-                pulled.append(i)
-                yield i
-
-        got = uniform_sample(stream(), 9, RngState(8))
-        assert pulled == list(range(2 * _CHUNK + 5))
-        assert got == oracle_uniform_sample(range(2 * _CHUNK + 5), 9, RngState(8))
+            ids = np.arange(n)
+            assert uniform_sample(ids, k, got_rng) == oracle_uniform_sample(ids, k, oracle_rng)
+        assert got_rng.uniforms_open(1)[0] == oracle_rng.uniforms_open(1)[0]
 
     def test_returns_python_ints(self):
-        got = uniform_sample(np.arange(3 * _CHUNK).tolist(), 40, RngState(2))
+        got = uniform_sample(np.arange(3 * _CHUNK), 40, RngState(2))
         assert all(type(i) is int for i in got)
 
 
 def oracle_uniform_sample(ids, k, rng):
-    """Per-item Algorithm R: one scalar integers draw per id past the first K."""
-    reservoir = []
-    for n, item_id in enumerate(ids):
-        if n < k:
-            reservoir.append(item_id)
-        else:
-            j = rng.integers(n + 1)
-            if j < k:
-                reservoir[j] = item_id
-    return set(reservoir)
+    """Per-item keys: one uniform a per id in order, then the K ids with the
+    largest ln a, ties toward the smaller id."""
+    keys = np.log(rng.uniforms_open(len(ids))).tolist()
+    order = sorted(range(len(ids)), key=lambda i: (-keys[i], ids[i]))
+    return {int(ids[i]) for i in order[:k]}

@@ -1,5 +1,5 @@
 """Selection-strategy tests: scoring chain, the four policies, and their
-limit behaviors (d=0 uniform, d large greedy-like, eps=0 greedy)."""
+limit behaviors (d=0 is Random, d large greedy-like, eps=0 greedy)."""
 
 import bisect
 import math
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from alselect.classifier import ModelParams, fit
 from alselect.probs import entropy_lower_bound
-from alselect.sampling import _CHUNK, RngState, select_top_k
+from alselect.sampling import _CHUNK, _PARTITION_SURPLUS, RngState, select_top_k
 from alselect.strategies import (_LOG_W_CLIP, StrategyConfig, StrategyKind, score_pool,
                                  select_batch)
 
@@ -328,6 +328,24 @@ class TestRandomStrategy:
         cfg = StrategyConfig(kind=StrategyKind.RANDOM)
         out = select_batch(cfg, make_scores(np.ones(30)), 12, RngState(0))
         assert len(out) == 12
+
+    @given(n=st.one_of(st.integers(1, 60),
+                       st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 9000]),
+                       st.integers(1, 9000)),
+           data=st.data(), seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_is_weighted_at_d_zero(self, n, data, seed):
+        # the same batch and the same next draw, on both sides of _CHUNK and
+        # of B + _PARTITION_SURPLUS, past which the merge partitions
+        edges = {1, n, max(1, n - _PARTITION_SURPLUS), max(1, n - _PARTITION_SURPLUS - 1)}
+        b = data.draw(st.one_of(st.integers(1, n), st.sampled_from(sorted(edges))))
+        scores = make_scores(np.random.default_rng(seed).uniform(0.2, 1.1, n))
+        results = []
+        for cfg in (StrategyConfig(kind=StrategyKind.RANDOM),
+                    StrategyConfig(kind=StrategyKind.WEIGHTED, exponent_d=0.0)):
+            rng = RngState(seed)
+            results.append((select_batch(cfg, scores, b, rng), rng.uniforms_open(1)[0]))
+        assert results[0] == results[1]
 
 
 class TestAllStrategies:
