@@ -10,6 +10,10 @@ down axis 0, k elementwise passes over contiguous rows of n, rather than
 across n rows only k wide. `predict_proba_matrix` returns the (n, k)
 transposed view.
 
+The Hessian is two matrix products of one class-major array, with no loop
+over classes, and the indices it adds its diagonal blocks and penalty
+through are built once per (k, d) (see `_hessian`).
+
 Each Newton step is one LU solve of the Hessian plus the outer product of
 the unit bias-shift vector, which gives the min-norm step while l2_reg > 0,
 no probability has underflowed to 0 and rounding loses no direction of that
@@ -18,6 +22,7 @@ sum; elsewhere `np.linalg.lstsq` (an SVD) solves it (see `fit`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,17 +95,41 @@ def loss_and_grad(W, Xa, labels, k, l2_reg):
     return loss, G
 
 
+@functools.lru_cache(maxsize=16)
+def _block_layout(k: int, p: int):
+    """Flat indices into a (k*p) x (k*p) matrix: its k diagonal p x p blocks,
+    shape (k*p, p), row (c, j) holding block c's row j; and the diagonal
+    entries that belong to a feature weight, every one but each class's bias.
+    Read-only, since the cache hands the same arrays to every caller."""
+    kp = k * p
+    rows = np.arange(kp)
+    blocks = rows[:, None] * kp + rows[:, None] // p * p + np.arange(p)
+    penalized = rows[rows % p != p - 1] * (kp + 1)
+    blocks.flags.writeable = penalized.flags.writeable = False
+    return blocks, penalized
+
+
 def _hessian(W, Xa, l2_reg):
     """Hessian of `loss_and_grad`'s loss over W.ravel(), shape (k*(d+1))^2,
-    and the class-major probabilities P at W it was built from."""
+    and the class-major probabilities P at W it was built from.
+
+    With At the (k*p, n) array whose row (c, j) is P[c] * Xa[:, j] (p = d+1),
+    H is -At At^T / n. The one product At Xa / n, shape (k*p, p), stacks the
+    k per-class blocks added on H's diagonal, and l2_reg goes on the diagonal
+    entries of the feature weights. Besides H, nothing allocated is larger
+    than At.
+    """
     n, p = Xa.shape
+    k = W.shape[0]
     P = _softmax(W @ Xa.T)
-    # laid out C-contiguous here, so the reshape needs no second copy
-    A = np.multiply(P.T[:, :, None], Xa[:, None, :], order="C").reshape(n, -1)
-    H = -A.T @ A / n
-    for c in range(W.shape[0]):
-        H[c * p:(c + 1) * p, c * p:(c + 1) * p] += (P[c][:, None] * Xa).T @ Xa / n
-    H[np.diag_indices_from(H)] += l2_reg * np.tile(np.r_[np.ones(p - 1), 0.0], W.shape[0])
+    # a contiguous Xa^T lets the broadcast product stream both operands
+    At = np.multiply(P[:, None, :], np.ascontiguousarray(Xa.T)).reshape(k * p, n)
+    H = At @ At.T
+    H /= -n
+    blocks, penalized = _block_layout(k, p)
+    flat = H.reshape(-1)
+    flat[blocks] += At @ Xa / n
+    flat[penalized] += l2_reg
     return H, P
 
 

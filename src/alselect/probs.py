@@ -14,6 +14,13 @@ from dataclasses import dataclass
 from .errors import VacuousBoundError
 
 
+def _entropy_floor(g: float, k: int) -> float:
+    """ln k - (g - 1 - ln g)/ln 2, the floor both bounds below share."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    return math.log(k) - (g - 1.0 - math.log(g)) / math.log(2.0)
+
+
 def entropy_ratio_bound(rho: float, k: int) -> float:
     """Entropy lower bound for distributions whose max/min ratio is <= rho.
 
@@ -22,23 +29,20 @@ def entropy_ratio_bound(rho: float, k: int) -> float:
     """
     if not (rho >= 1.0 and math.isfinite(rho)):
         raise ValueError(f"ratio must be finite and >= 1, got {rho}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if rho == 1.0:
-        return math.log(k)  # g -> 1 and the correction vanishes
-    g = rho * math.log(rho) / (rho - 1.0)
-    return math.log(k) - (g - 1.0 - math.log(g)) / math.log(2.0)
+    # g -> 1 as rho -> 1, where the correction vanishes
+    return _entropy_floor(1.0 if rho == 1.0 else rho * math.log(rho) / (rho - 1.0), k)
 
 
 def entropy_lower_bound(chi: float, k: int) -> float:
     """Entropy floor for distributions with min class probability >= chi.
 
-    Equivalent to entropy_ratio_bound with rho = 1/chi; the intermediate
-    eta = -ln(chi)/(1-chi) equals rho*ln(rho)/(rho-1).
+    Equivalent to entropy_ratio_bound with rho = 1/chi: g is computed as
+    eta = -ln(chi)/(1-chi), which equals rho*ln(rho)/(rho-1) and, unlike
+    1/chi, stays finite for every chi > 0, subnormal ones included.
     """
     if not (0.0 < chi < 1.0):
         raise ValueError(f"chi must be in (0, 1), got {chi}")
-    return entropy_ratio_bound(1.0 / chi, k)
+    return _entropy_floor(-math.log(chi) / (1.0 - chi), k)
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,7 @@ def lemma_bound(inp: LemmaBoundInput) -> LemmaBoundReport:
     small k; the error carries eta and zeta for diagnostics.
     """
     eta = -math.log(inp.chi) / (1.0 - inp.chi)
-    zeta = entropy_lower_bound(inp.chi, inp.k)
+    zeta = _entropy_floor(eta, inp.k)
     p_s = inp.beta * zeta / math.log(inp.k)
     if p_s <= 0.0:
         raise VacuousBoundError(eta, zeta, p_s)

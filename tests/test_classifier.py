@@ -55,7 +55,7 @@ def reference_hessian(W, Xa, l2_reg):
     return H
 
 
-def reference_fit(X, y, k, cfg, init=None):
+def reference_fit(X, y, k, cfg, init=None, hessian=lambda W, Xa, l2: _hessian(W, Xa, l2)[0]):
     """`fit` as it stood with a min-norm `lstsq` solve for every Newton step:
     (weights, loss history)."""
     Xa = _augment(X)
@@ -66,7 +66,7 @@ def reference_fit(X, y, k, cfg, init=None):
         losses.append(loss)
         if np.abs(G).max() < cfg.tol:
             break
-        H = _hessian(W, Xa, cfg.l2_reg)[0]
+        H = hessian(W, Xa, cfg.l2_reg)
         step = -np.linalg.lstsq(H, G.ravel(), rcond=None)[0].reshape(W.shape)
         slope = float((G * step).sum())
         for t in 0.5 ** np.arange(51):
@@ -80,13 +80,13 @@ def reference_fit(X, y, k, cfg, init=None):
     return W, losses
 
 
-def kernel_problem(k, n, bias=0.0, seed=0):
-    """Weights, features and labels for a k-class, d=10 problem; `bias` shifts
-    every class's score by about that much."""
+def kernel_problem(k, n, bias=0.0, seed=0, d=10):
+    """Weights, features and labels for a k-class, d-feature problem; `bias`
+    shifts every class's score by about that much."""
     rng = np.random.default_rng(seed)
-    W = rng.standard_normal((k, 11))
+    W = rng.standard_normal((k, d + 1))
     W[:, -1] += bias
-    return W, rng.standard_normal((n, 10)), rng.integers(0, k, size=n)
+    return W, rng.standard_normal((n, d)), rng.integers(0, k, size=n)
 
 
 def line_search_problems():
@@ -117,32 +117,40 @@ class TestGradient:
 
 
 class TestRowMajorReference:
-    """The class-major kernels equal the row-major formulas bit for bit while
-    k <= 7. From k = 8 numpy sums a contiguous k-wide row pairwise but a
-    column sequentially, so results may move by rounding."""
+    """The class-major softmax, loss and gradient equal the row-major formulas
+    bit for bit while k <= 7. From k = 8 numpy sums a contiguous k-wide row
+    pairwise but a column sequentially, so results may move by rounding.
+    The Hessian is built from other products than the row-major one (the
+    cross term as one symmetric product, all diagonal blocks as another), so
+    it matches to rounding at every k."""
 
     @staticmethod
-    def assert_same(actual, expected, k):
+    def assert_close(actual, expected):
+        expected = np.asarray(expected)
+        np.testing.assert_allclose(actual, expected, rtol=1e-14,
+                                   atol=1e-14 * np.abs(expected).max())
+
+    def assert_same(self, actual, expected, k):
         if k <= 7:
             assert np.array_equal(actual, expected)
         else:
-            expected = np.asarray(expected)
-            np.testing.assert_allclose(actual, expected, rtol=1e-14,
-                                       atol=1e-14 * np.abs(expected).max())
+            self.assert_close(actual, expected)
 
-    def check(self, k, n, bias, seed):
-        W, X, y = kernel_problem(k, n, bias=bias, seed=seed)
+    def check(self, k, n, bias, seed, d=10):
+        W, X, y = kernel_problem(k, n, bias=bias, seed=seed, d=d)
         Xa = _augment(X)
         loss, G = loss_and_grad(W, Xa, y, k, 1e-3)
-        params = ModelParams(weights=W, k=k, d=10)
+        params = ModelParams(weights=W, k=k, d=d)
         P = predict_proba_matrix(params, X)
         assert P.shape == (n, k)
         assert np.isfinite(loss) and np.isfinite(G).all() and np.isfinite(P).all()
         ref_loss, ref_G = reference_loss_and_grad(W, Xa, y, 1e-3)
         self.assert_same(loss, ref_loss, k)
         self.assert_same(G, ref_G, k)
-        self.assert_same(_hessian(W, Xa, 1e-3)[0], reference_hessian(W, Xa, 1e-3), k)
         ref_P = reference_softmax_rows(Xa @ W.T)
+        H, hessian_P = _hessian(W, Xa, 1e-3)
+        self.assert_close(H, reference_hessian(W, Xa, 1e-3))
+        self.assert_same(hessian_P.T, ref_P, k)
         self.assert_same(P, ref_P, k)
         assert accuracy(params, X, y) == float((ref_P.argmax(axis=1) == y).mean())
 
@@ -151,11 +159,34 @@ class TestRowMajorReference:
     def test_kernels(self, k, n):
         self.check(k, n, 0.0, seed=k * n)
 
+    @pytest.mark.parametrize("k", [5, 10])
+    @pytest.mark.parametrize("n", [1, 2, 100, 1000])
+    def test_kernels_d30(self, k, n):
+        self.check(k, n, 0.0, seed=k * n + 30, d=30)
+
     @pytest.mark.parametrize("k", [3, 10])
     @pytest.mark.parametrize("bias", [800.0, -800.0])
     def test_scores_near_800(self, k, bias):
         # exp(+-800) overflows or underflows; the max-shift keeps every entry finite
         self.check(k, 100, bias, seed=k)
+
+
+class TestBlockLayout:
+    def test_cached_layout_gives_the_bits_of_a_fresh_one(self):
+        # the index cache is keyed by (k, p): a shape seen before, after
+        # another shape, builds the Hessian a freshly built layout builds
+        problems = [kernel_problem(k, 200, seed=i) for i, k in enumerate((3, 10, 3))]
+        classifier._block_layout.cache_clear()
+        cached = [_hessian(W, _augment(X), 1e-3)[0] for W, X, _ in problems]
+        assert classifier._block_layout.cache_info().hits == 1
+        for H, (W, X, _) in zip(cached, problems):
+            classifier._block_layout.cache_clear()
+            assert np.array_equal(H, _hessian(W, _augment(X), 1e-3)[0])
+
+    def test_cached_layout_is_read_only(self):
+        for index in classifier._block_layout(3, 11):
+            with pytest.raises(ValueError):
+                index[0] = 0
 
 
 class TestNewtonStep:
@@ -187,14 +218,17 @@ class TestNewtonStep:
     @pytest.mark.parametrize("k", [2, 3, 10])
     @pytest.mark.parametrize("l2_reg", [1e-4, 5.0, 50.0])
     def test_matches_lstsq_reference(self, k, l2_reg):
+        # the reference steps by lstsq, from this module's Hessian and from
+        # the row-major one, which rounds differently
         cfg = FitConfig(l2_reg=l2_reg)
         for seed in range(3):
             X, y = self.problem(k, seed)
             losses = []
             params = fit(X, y, k, cfg, loss_history=losses)
-            ref_W, ref_losses = reference_fit(X, y, k, cfg)
-            assert len(losses) == len(ref_losses)
-            np.testing.assert_allclose(params.weights, ref_W, rtol=1e-9)
+            for ref_W, ref_losses in (reference_fit(X, y, k, cfg),
+                                      reference_fit(X, y, k, cfg, hessian=reference_hessian)):
+                assert len(losses) == len(ref_losses)
+                np.testing.assert_allclose(params.weights, ref_W, rtol=1e-9)
 
     def test_solves_without_lstsq(self, monkeypatch):
         def refused(*args, **kwargs):

@@ -76,6 +76,13 @@ class TestBound:
         assert rc == EXIT_VACUOUS
         assert "vacuous" in out
 
+    def test_subnormal_chi_exits_vacuous(self, capsys):
+        # 1/chi overflows to inf here; the bound is still computed, and vacuous
+        rc, out, err = run_cli(capsys, "bound", "--beta", "0.1", "--chi", "5e-324",
+                               "--k", "3", "--delta", "0.05")
+        assert rc == EXIT_VACUOUS, err
+        assert "vacuous" in out
+
     def test_out_of_range_flag(self, capsys):
         rc, _, err = run_cli(capsys, "bound", "--beta", "0.1", "--chi", "0.05",
                              "--k", "10", "--delta", "1.5")

@@ -187,6 +187,12 @@ class TestEntropyLowerBound:
     def test_ratio_one(self):
         assert entropy_ratio_bound(1.0, 5) == math.log(5)
 
+    @pytest.mark.parametrize("chi", [5e-324, 1e-310, 1e-300])
+    def test_finite_where_one_over_chi_overflows(self, chi):
+        # 1/chi is inf below about 5.6e-309; eta = -ln(chi)/(1-chi) is not
+        zeta = entropy_lower_bound(chi, 3)
+        assert math.isfinite(zeta) and zeta < 0
+
     def test_bound_holds_on_random_vectors(self):
         # small inline version of the Theorem-style acceptance check
         rng = np.random.default_rng(42)
@@ -219,6 +225,12 @@ class TestLemmaBound:
         with pytest.raises(VacuousBoundError) as exc:
             lemma_bound(LemmaBoundInput(beta=0.1, chi=0.1, k=2, delta=0.05))
         assert exc.value.p_s <= 0
+        assert exc.value.zeta < 0
+
+    def test_subnormal_chi_is_vacuous(self):
+        with pytest.raises(VacuousBoundError) as exc:
+            lemma_bound(LemmaBoundInput(beta=0.1, chi=5e-324, k=3, delta=0.05))
+        assert exc.value.eta == pytest.approx(-math.log(5e-324))
         assert exc.value.zeta < 0
 
     def test_delta_one_needs_no_draws(self):
