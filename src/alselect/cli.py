@@ -120,10 +120,10 @@ def _sha256(path) -> str:
 
 def _record_line(rec) -> str:
     # elapsed_ms is wall-clock and would break byte-identical reruns; it is
-    # reported in the manifest timing section instead
-    line = dataclasses.asdict(rec)
-    del line["elapsed_ms"]
-    return json.dumps(line, sort_keys=True)
+    # reported in the manifest timing section instead. dataclasses.asdict
+    # would deep-copy the selected-id tuple for nothing.
+    return json.dumps({f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)
+                       if f.name != "elapsed_ms"}, sort_keys=True)
 
 
 @contextlib.contextmanager

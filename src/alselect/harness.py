@@ -3,10 +3,10 @@ initialization, per-round select/label/refit, hold-out evaluation,
 multi-trial aggregation, plus a synthetic pocket-dataset generator and an
 empirical validator for the hitting-probability bound.
 
-RNG discipline: every stream is derived from (master_seed, purpose tag,
-trial index), so the holdout split and the initial labeled set are shared
-by all strategies at the same master seed, and trials are independent and
-individually reproducible.
+RNG discipline: every stream is derived from (seed, purpose tag[, trial
+index]): the holdout split and the initial labeled set are shared by all
+strategies at one master seed, trials are independent and individually
+reproducible, and a bound validation's repeats all read one stream.
 """
 
 from __future__ import annotations
@@ -386,7 +386,8 @@ def validate_lemma(spec: SynthPocketSpec, chi: float, delta: float,
     the entropy floor zeta, everything else ln k (the maximum), isolating
     the sampling claim from classifier behavior. Each repeat takes the
     bound's n_s items in one `select_positions` draw over the pool's weight
-    array and counts whether any pocket item was hit. With `equal_weights`
+    array and counts whether any pocket item was hit; the repeats read one
+    (spec.seed, lemma tag) stream in turn. With `equal_weights`
     the pocket carries ln k too, so the n_s items are a uniform draw
     without replacement and the exact hit rate is 1 - C(n-m, n_s)/C(n, n_s)
     for an m-item pocket (1 - (1-beta)^n_s only approximates it, as if the
@@ -410,10 +411,9 @@ def validate_lemma(spec: SynthPocketSpec, chi: float, delta: float,
 
     hits = 0
     if bound.n_s > 0:
-        root = RngState(spec.seed)
-        for rep in range(repeats):
-            selected = select_positions(weights, bound.n_s, root.derive(_LEMMA, rep))
-            if any(i < pocket_m for i in selected):
+        rng = RngState(spec.seed).derive(_LEMMA)
+        for _ in range(repeats):
+            if min(select_positions(weights, bound.n_s, rng)) < pocket_m:
                 hits += 1
     return LemmaValidationReport(
         bound=bound, repeats=repeats, hits=hits,

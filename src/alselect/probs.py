@@ -26,11 +26,13 @@ def entropy_ratio_bound(rho: float, k: int) -> float:
 
     Returns ln k - (g - 1 - ln g)/ln 2 with g = rho*ln(rho)/(rho-1).
     The bound can be negative (vacuous) for small k; it is returned as-is.
+    g is computed as ln(rho) * (rho/(rho-1)), whose factors stay finite for
+    every finite rho, where rho*ln(rho) overflows above about 1e306.
     """
     if not (rho >= 1.0 and math.isfinite(rho)):
         raise ValueError(f"ratio must be finite and >= 1, got {rho}")
     # g -> 1 as rho -> 1, where the correction vanishes
-    return _entropy_floor(1.0 if rho == 1.0 else rho * math.log(rho) / (rho - 1.0), k)
+    return _entropy_floor(1.0 if rho == 1.0 else math.log(rho) * (rho / (rho - 1.0)), k)
 
 
 def entropy_lower_bound(chi: float, k: int) -> float:

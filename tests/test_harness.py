@@ -434,8 +434,9 @@ class TestValidateLemma:
     @pytest.mark.parametrize("n", [400, _CHUNK + 904])
     @pytest.mark.parametrize("equal_weights", [False, True])
     def test_hits_match_tuple_stream_reference(self, n, equal_weights):
-        # each repeat draws the set the (id, weight) stream drew, so the
-        # Monte Carlo's hits are those of the streaming sampler it validates
+        # the repeats read one (seed, lemma) stream in turn and each draws the
+        # set the (id, weight) stream draws from it, so the Monte Carlo's hits
+        # are those of the streaming sampler it validates
         for seed in range(3):
             spec = small_spec(n=n, d=10, k=10, beta=0.05,
                               train_prevalence=tuple([0.1] * 10),
@@ -446,13 +447,41 @@ class TestValidateLemma:
             m = round(spec.beta * n)
             w = [math.log(10) if equal_weights or i >= m else report.bound.zeta
                  for i in range(n)]
+            rng = RngState(seed).derive(harness._LEMMA)
             hits = sum(
-                any(i < m for i in select_top_k(zip(range(n), w), report.bound.n_s,
-                                                RngState(seed).derive(harness._LEMMA, rep)))
-                for rep in range(60))
+                any(i < m for i in select_top_k(zip(range(n), w), report.bound.n_s, rng))
+                for _ in range(60))
             assert report.bound.n_s == 6
             assert report.hits == hits
             assert 0 < hits < 60
+
+    @pytest.mark.parametrize("repeats", [50, 500])
+    def test_one_stream_per_call(self, monkeypatch, repeats):
+        # every RngState built, derive's children included, goes through __init__
+        built = []
+        init = RngState.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(harness.RngState, "__init__", counting_init)
+        spec = small_spec(n=400, d=10, k=10, beta=0.05,
+                          train_prevalence=tuple([0.1] * 10),
+                          pool_prevalence=tuple([0.1] * 10),
+                          pocket_class=0, seed=6)
+        validate_lemma(spec, chi=0.05, delta=0.5, repeats=repeats)
+        assert len(built) <= 2
+
+    def test_same_spec_same_hits(self):
+        spec = small_spec(n=400, d=10, k=10, beta=0.05,
+                          train_prevalence=tuple([0.1] * 10),
+                          pool_prevalence=tuple([0.1] * 10),
+                          pocket_class=0, seed=7)
+        first, second = (validate_lemma(spec, chi=0.05, delta=0.5, repeats=300)
+                         for _ in range(2))
+        assert first.hits == second.hits
+        assert 0 < first.hits < 300
 
     def test_no_guarantee_draws_nothing(self, monkeypatch):
         def no_draw(*args):

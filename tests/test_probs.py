@@ -8,6 +8,7 @@ recomputed on sight.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -192,6 +193,12 @@ class TestEntropyLowerBound:
         # 1/chi is inf below about 5.6e-309; eta = -ln(chi)/(1-chi) is not
         zeta = entropy_lower_bound(chi, 3)
         assert math.isfinite(zeta) and zeta < 0
+
+    @pytest.mark.parametrize("rho", [1e306, 1e307, sys.float_info.max])
+    def test_ratio_finite_where_rho_ln_rho_overflows(self, rho):
+        # rho * ln(rho) is inf above about 1e306; the bound falls with rho
+        bound = entropy_ratio_bound(rho, 3)
+        assert math.isfinite(bound) and bound <= entropy_ratio_bound(1e300, 3)
 
     def test_bound_holds_on_random_vectors(self):
         # small inline version of the Theorem-style acceptance check
