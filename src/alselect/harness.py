@@ -385,9 +385,9 @@ def validate_lemma(spec: SynthPocketSpec, chi: float, delta: float,
     Pool of spec.n items with a round(beta*n) pocket; pocket items carry
     the entropy floor zeta, everything else ln k (the maximum), isolating
     the sampling claim from classifier behavior. Each repeat takes the
-    bound's n_s items in one `select_positions` draw over the pool's weight
-    array and counts whether any pocket item was hit; the repeats read one
-    (spec.seed, lemma tag) stream in turn. With `equal_weights`
+    bound's n_s items in one `select_positions` draw over the pool's
+    log-weight array and counts whether any pocket item was hit; the
+    repeats read one (spec.seed, lemma tag) stream in turn. With `equal_weights`
     the pocket carries ln k too, so the n_s items are a uniform draw
     without replacement and the exact hit rate is 1 - C(n-m, n_s)/C(n, n_s)
     for an m-item pocket (1 - (1-beta)^n_s only approximates it, as if the
@@ -408,12 +408,13 @@ def validate_lemma(spec: SynthPocketSpec, chi: float, delta: float,
     weights = np.full(spec.n, math.log(spec.k))
     if not equal_weights:
         weights[:pocket_m] = bound.zeta
+    log_w = np.log(weights)
 
     hits = 0
     if bound.n_s > 0:
         rng = RngState(spec.seed).derive(_LEMMA)
         for _ in range(repeats):
-            if min(select_positions(weights, bound.n_s, rng)) < pocket_m:
+            if min(select_positions(log_w, bound.n_s, rng)) < pocket_m:
                 hits += 1
     return LemmaValidationReport(
         bound=bound, repeats=repeats, hits=hits,

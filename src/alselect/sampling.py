@@ -1,23 +1,24 @@
-"""Single-pass weighted sampling without replacement via exponent keys.
+"""Single-pass weighted sampling without replacement via Gumbel-form keys.
 
-An item with weight u gets key a^(1/u) for a ~ unif(0,1); keeping the K
-largest keys realizes weighted sampling without replacement in one pass
-with O(K) retained items. Keys are compared in log space (ln a / u, a
-strictly monotone transform) so that huge weights cannot collapse distinct
-keys onto 1.0 through float rounding. One merge serves every entry point:
-`select_positions` runs it once over a weight array, `uniform_sample` once
-over an id array at equal weights (the keys ln a are then i.i.d., so the
-top K is a uniform K-subset), and `select_top_k` once per chunk of an
-(id, weight) stream. It merges a block into the retained items
-by one `lexsort`, after a `partition` has dropped every key below the K-th
-best when the merge holds many more than K candidates.
+An item with log weight l = ln w gets key ln(-ln a) - l for a ~ unif(0,1);
+keeping the K smallest keys realizes weighted sampling without replacement
+in one pass with O(K) retained items. This is the exponent key a^(1/w) of
+Efraimidis & Spirakis under a strictly decreasing map (the Gumbel-top-k
+form), so it ranks the same, but it takes l itself: any finite l gives a
+finite key, and no weight has to be normalised into float range first. One
+merge serves every entry point: `select_positions` runs it once over a
+log-weight array, `uniform_sample` once over an id array at log weight 0
+(the keys ln(-ln a) are then i.i.d., so the top K is a uniform K-subset),
+and `select_top_k` once per chunk of an (id, weight) stream. It merges a
+block into the retained items by one `lexsort`, after a `partition` has
+dropped every key above the K-th best when the merge holds many more than K
+candidates.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -28,9 +29,6 @@ _CHUNK = 4096
 # K-th best key first and sorts only the keys that reach it; a smaller merge
 # sorts every candidate. 512 is where the two cost the same (numpy 2.4).
 _PARTITION_SURPLUS = 512
-# The smallest weight w whose log key ln(a) / w stays finite for the
-# smallest uniform a = 2**-53; below it the keys overflow to -inf and tie.
-_MIN_WEIGHT = 53 * math.log(2) / sys.float_info.max
 
 
 class RngState:
@@ -87,73 +85,74 @@ class SelectionStats:
     peak_retained: int = 0
 
 
-def _merge(kept_ids, kept_neg, ids: np.ndarray, w: np.ndarray, k: int,
+def _merge(kept_ids, kept_keys, ids: np.ndarray, log_w: np.ndarray, k: int,
            rng: RngState) -> tuple[np.ndarray, np.ndarray]:
-    """Merge one block of ids and weights into the retained items.
+    """Merge one block of ids and finite log weights into the retained items.
 
-    Checks the weights, draws one uniform per item and returns at most K
-    (id, negated log key) pairs: the best of the retained ones and the block.
-    Ranked by (-log key, id) ascending; negation is exact, so this is the
-    documented order and no merge has to negate the retained keys again.
+    Draws one uniform a per item and returns at most K (id, key) pairs, key
+    ln(-ln a) - l: the best of the retained ones and the block, ranked by
+    (key, id) ascending.
     """
-    if not (w[w.argmin()] >= _MIN_WEIGHT and w[w.argmax()] < math.inf):  # NaN fails both
-        bad = w[~((w >= _MIN_WEIGHT) & (w < math.inf))][0]
-        raise ValueError(f"weights must be positive and finite, at least "
-                         f"{_MIN_WEIGHT:.4g}, got {float(bad)}")
-    neg = np.log(rng.uniforms_open(len(w))) / -w
+    keys = np.log(-np.log(rng.uniforms_open(len(log_w)))) - log_w
     if kept_ids is not None:
         ids = np.concatenate((kept_ids, ids))
-        neg = np.concatenate((kept_neg, neg))
+        keys = np.concatenate((kept_keys, keys))
     if len(ids) > k:
         if len(ids) - k > _PARTITION_SURPLUS:
             # every key tied with the K-th best goes on, so the sort decides ties
-            cand = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
-            ids, neg = ids[cand], neg[cand]
-        best = np.lexsort((ids, neg))[:k]
-        ids, neg = ids[best], neg[best]
-    return ids, neg
+            cand = np.flatnonzero(keys <= np.partition(keys, k - 1)[k - 1])
+            ids, keys = ids[cand], keys[cand]
+        best = np.lexsort((ids, keys))[:k]
+        ids, keys = ids[best], keys[best]
+    return ids, keys
 
 
-def select_positions(weights, k: int, rng: RngState) -> set[int]:
-    """K distinct positions into a 1-D weight array, sampled without
-    replacement proportionally to the weights.
+def select_positions(log_weights, k: int, rng: RngState) -> set[int]:
+    """K distinct positions into a 1-D array of finite log weights l,
+    sampled without replacement proportionally to e^l.
 
-    One merge over the whole array: the same keys, ties and errors as
-    `select_top_k(enumerate(weights), k, rng)`, and the same set from an
-    equal rng. Both draw one uniform per item in order, and one block reads
-    the stream as its chunks do. The one exception is a uniform that is
-    exactly zero (probability 2**-53 per draw): it is redrawn after the
-    whole array rather than after its chunk, so later draws shift.
+    One merge over the whole array: `select_top_k(enumerate(w), k, rng)`
+    draws the same keys and the same set from an equal rng as
+    `select_positions(np.log(w), k, rng)`. Both draw one uniform per item in
+    order, and one block reads the stream as its chunks do. The one
+    exception is a uniform that is exactly zero (probability 2**-53 per
+    draw): it is redrawn after the whole array rather than after its chunk,
+    so later draws shift.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    return _sample(np.arange(w.size), w, k, rng)
+    log_w = np.asarray(log_weights, dtype=np.float64)
+    return _sample(np.arange(log_w.size), log_w, k, rng)
 
 
 def uniform_sample(ids, k: int, rng: RngState) -> set[int]:
     """K ids drawn uniformly without replacement from a 1-D int array.
 
-    The weighted sampler at equal weights: one merge over `np.ones(len(ids))`,
-    whose keys ln a are i.i.d., so every K-subset is equally likely. It reads
-    the rng as `select_positions(np.ones(len(ids)), k, rng)` does and returns
-    the ids at the positions that call picks; exact key ties go to the
-    smaller id, which is the smaller position when the ids ascend. Raises
-    ValueError when K < 1, fewer than K ids are given, or a repeated id
-    reaches the result; a repeat that does not reach it passes unreported.
+    The weighted sampler at equal weights: one merge over
+    `np.zeros(len(ids))`, whose keys ln(-ln a) are i.i.d., so every K-subset
+    is equally likely. It reads the rng as
+    `select_positions(np.zeros(len(ids)), k, rng)` does and returns the ids
+    at the positions that call picks; exact key ties go to the smaller id,
+    which is the smaller position when the ids ascend. Raises ValueError
+    when K < 1, fewer than K ids are given, or a repeated id reaches the
+    result; a repeat that does not reach it passes unreported.
     """
     ids = np.asarray(ids)
-    return _sample(ids, np.ones(ids.shape), k, rng)
+    return _sample(ids, np.zeros(ids.shape), k, rng)
 
 
-def _sample(ids: np.ndarray, w: np.ndarray, k: int, rng: RngState) -> set[int]:
+def _sample(ids: np.ndarray, log_w: np.ndarray, k: int, rng: RngState) -> set[int]:
     """K distinct ids out of one block by one merge, with the checks of
-    `select_positions` and `uniform_sample`."""
+    `select_positions` and `uniform_sample`; a log weight that is not
+    finite is reported before too few items."""
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
-    if w.ndim != 1:
-        raise ValueError(f"weights must be a 1-D array, got shape {w.shape}")
-    if len(w):  # merged before the count check, so a bad weight is reported first
-        ids, _ = _merge(None, None, ids, w, k, rng)
-    return _chosen(ids, len(w), k)
+    if log_w.ndim != 1:
+        raise ValueError(f"weights must be a 1-D array, got shape {log_w.shape}")
+    if len(log_w) and not (log_w[log_w.argmin()] > -math.inf
+                           and log_w[log_w.argmax()] < math.inf):  # NaN fails both
+        bad = log_w[~np.isfinite(log_w)][0]
+        raise ValueError(f"log weights must be finite, got {float(bad)}")
+    ids, _ = _merge(None, None, ids, log_w, k, rng)
+    return _chosen(ids, len(log_w), k)
 
 
 def _chosen(kept_ids: np.ndarray | None, n_seen: int, k: int) -> set[int]:
@@ -174,13 +173,14 @@ def select_top_k(
 ) -> set[int]:
     """K distinct ids sampled without replacement proportionally to weights.
 
-    Takes (id, weight) pairs; ids must be distinct and weights finite and
-    at least 53 ln 2 / DBL_MAX (about 2.04e-307).
-    Single forward pass; retains at most K items plus a fixed-size chunk
-    buffer. One uniform is consumed per stream element in stream order, so
-    output is a pure function of (stream, K, rng seed). Each chunk is merged
-    into the retained set by log key descending, ties toward the smaller id.
-    This is the chunked form of `select_positions`, for streams of ids.
+    Takes (id, weight) pairs; ids must be distinct and weights positive and
+    finite, subnormal ones included. Single forward pass; retains at most K
+    items plus a fixed-size chunk buffer. One uniform is consumed per stream
+    element in stream order, so output is a pure function of (stream, K, rng
+    seed). Each chunk's weights are checked, and the chunk is merged at log
+    weights `np.log(w)` into the retained set by key ascending, ties toward
+    the smaller id. This is the chunked form of `select_positions`, for
+    streams of ids.
 
     Raises ValueError when the stream holds fewer than K items, a weight is
     out of range, or a repeated id reaches the result (fewer than K distinct
@@ -191,11 +191,15 @@ def select_top_k(
         raise ValueError(f"K must be >= 1, got {k}")
     items = iter(stream)
     n_seen = 0
-    kept_ids = kept_neg = None
+    kept_ids = kept_keys = None
     while chunk := list(itertools.islice(items, _CHUNK)):
         ids, weights = zip(*chunk)
-        kept_ids, kept_neg = _merge(kept_ids, kept_neg, np.array(ids, dtype=np.int64),
-                                    np.array(weights, dtype=np.float64), k, rng)
+        w = np.array(weights, dtype=np.float64)
+        if not (w[w.argmin()] > 0.0 and w[w.argmax()] < math.inf):  # NaN fails both
+            raise ValueError(f"weights must be positive and finite, "
+                             f"got {float(w[~((w > 0.0) & (w < math.inf))][0])}")
+        kept_ids, kept_keys = _merge(kept_ids, kept_keys, np.array(ids, dtype=np.int64),
+                                     np.log(w), k, rng)
         n_seen += len(chunk)
         if stats is not None:
             stats.items_seen = n_seen

@@ -20,17 +20,6 @@ from .classifier import ModelParams, predict_proba_matrix
 from .sampling import RngState, select_positions, uniform_sample
 from .sampling import select_top_k  # noqa: F401  unused here; perfbench/tracer.py wraps this name
 
-# WEIGHTED clips each log weight d*ln(u/u_B) to [-64, 64], which changes no
-# selection. uniforms_open draws multiples of 2**-53 in [2**-53, 1 - 2**-53],
-# so -ln a spans a ratio below e^40.34, and item i beats item j only if
-# w_i/w_j > (-ln a_i)/(-ln a_j) > e^-40.34. At least B items have w >= 1:
-# one with w < e^-40.34 loses to all of them and never makes the batch.
-# Fewer than B items have w > 1: one with w > e^40.34 beats every item
-# with w <= 1 and always makes it. Clipped weights stay on their side of
-# those bounds, no step overflows for any finite d, and d = 0 gives w = 1.0.
-_LOG_W_CLIP = 64.0
-
-
 class StrategyKind(enum.Enum):
     RANDOM = "random"
     GREEDY = "greedy"
@@ -47,7 +36,8 @@ class StrategyConfig:
     exponent_d applies only to WEIGHTED, where d=1 is plain
     entropy-proportional sampling, d=0 is RANDOM (the same batch and the
     same draws from an equal rng), and large d approaches Greedy. Every
-    finite d >= 0 runs; once d*ln(u_(B)/u_(B+1)) > 40.4 for the B-th and
+    finite d >= 0 runs. The keys ln(-ln a) span 40.34 over the uniforms'
+    2**-53 grid, so once d*ln(u_(B)/u_(B+1)) > 40.4 for the B-th and
     (B+1)-th largest scores, WEIGHTED returns exactly Greedy's top B.
     """
 
@@ -88,9 +78,10 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray, b: int,
     eps-Greedy's greedy slots take Greedy's top B in that order, skipping
     positions already taken; a uniform slot takes the j-th remaining
     position in ascending position order, j uniform, so no slot needs the
-    whole pool's ranking. Weighted hands the sampler its
-    weight array (`select_positions`), one merge over all positions, with
-    no per-item (id, weight) stream; Random is that merge at equal weights.
+    whole pool's ranking. Weighted hands the sampler the log weights
+    d*ln(score) (`select_positions`), one merge over all positions in a
+    single pass, with no normaliser and no per-item (id, weight) stream;
+    Random is that merge at log weight 0.
     """
     scores = np.asarray(scores, dtype=np.float64)
     # argmin/argmax return the first NaN, so NaN fails; an empty array passes
@@ -106,13 +97,10 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray, b: int,
         return uniform_sample(np.arange(len(scores)), b, rng)
 
     if cfg.kind is StrategyKind.WEIGHTED:
-        # exponent keys over (u/u_B)^d, u_B the B-th largest score; scaling
-        # every weight by u_B^-d moves no key's rank
-        log_u = np.log(scores)
-        log_u_b = np.partition(log_u, len(log_u) - b)[len(log_u) - b]
-        with np.errstate(over="ignore"):
-            w = np.exp(np.clip(cfg.exponent_d * (log_u - log_u_b), -_LOG_W_CLIP, _LOG_W_CLIP))
-        return select_positions(w, b, rng)
+        # clamping d at 2**996 changes no selection: a power of two scales ln u
+        # without rounding, 2**996 * 745 (|ln u| < 745 for every positive double)
+        # stays finite, and every d >= 2**996 is past the greedy limit already
+        return select_positions(min(cfg.exponent_d, 2.0**996) * np.log(scores), b, rng)
 
     if cfg.kind is StrategyKind.GREEDY:
         return set(_best(scores, b).tolist())

@@ -2,6 +2,7 @@
 seed discipline, the synthetic generator, and the bound validator."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -158,9 +159,10 @@ class TestRunTrial:
         assert len(run_experiment(dataset, cfg).records) == 6
 
     # at chi=0.1, k=3 the raw weights u**d left the float range past d = 572.29
-    # (d=575 overflowed select_top_k's ln(a)/w, d=5000 gave a weight of 0);
-    # pytest turns warnings into errors, so an overflow anywhere fails here
-    @pytest.mark.parametrize("d", [600, 5000, 1e6])
+    # (d=575 overflowed select_top_k's ln(a)/w, d=5000 gave a weight of 0), and
+    # d*ln u itself overflows at d = DBL_MAX; pytest turns warnings into
+    # errors, so an overflow anywhere fails here
+    @pytest.mark.parametrize("d", [600, 5000, 1e6, sys.float_info.max])
     def test_weighted_exponent_past_float_range_runs(self, d):
         dataset, _ = generate_pocket_dataset(small_spec())
         cfg = small_config(strategy=StrategyConfig(StrategyKind.WEIGHTED, chi=0.1, exponent_d=d))

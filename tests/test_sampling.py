@@ -1,5 +1,5 @@
-"""Exponent-key sampling tests; uniform sampling is the same merge at
-equal weights.
+"""Gumbel-form key sampling tests; uniform sampling is the same merge at
+log weight 0.
 
 Monte Carlo checks here run at reduced draw counts with correspondingly
 wider tolerances (>= 4 binomial SE); the full-size versions with the spec
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alselect.sampling import (_CHUNK, _MIN_WEIGHT, _PARTITION_SURPLUS, RngState,
+from alselect.sampling import (_CHUNK, _PARTITION_SURPLUS, RngState,
                                SelectionStats, select_positions, select_top_k,
                                uniform_sample)
 
@@ -54,7 +54,7 @@ class TestRngState:
         assert (xs > 0).all() and (xs < 1).all()
 
     def test_draws_are_nonzero_multiples_of_2_pow_minus_53(self):
-        # the weighted strategy's exact clip of log weights rests on this
+        # the keys ln(-ln a) then span 40.34, which fixes the greedy limit
         m = RngState(1).uniforms_open(100000) * 2.0**53
         assert (m == np.floor(m)).all()
         assert m.min() >= 1.0 and m.max() <= 2.0**53 - 1.0
@@ -99,16 +99,15 @@ def oracle_select_top_k(stream, k, rng, stats=None):
     while chunk := list(itertools.islice(items, _CHUNK)):
         ids, weights = zip(*chunk)
         w = np.array(weights, dtype=np.float64)
-        if not (w.min() >= _MIN_WEIGHT and w.max() < math.inf):  # NaN fails both
-            bad = w[~((w >= _MIN_WEIGHT) & (w < math.inf))][0]
-            raise ValueError(f"weights must be positive and finite, at least "
-                             f"{_MIN_WEIGHT:.4g}, got {float(bad)}")
+        if not (w.min() > 0.0 and w.max() < math.inf):  # NaN fails both
+            bad = w[~((w > 0.0) & (w < math.inf))][0]
+            raise ValueError(f"weights must be positive and finite, got {float(bad)}")
         ids = np.array(ids, dtype=np.int64)
-        keys = np.log(rng.uniforms_open(len(w))) / w
+        keys = np.log(-np.log(rng.uniforms_open(len(w)))) - np.log(w)
         if kept_ids is not None:
             ids = np.concatenate((kept_ids, ids))
             keys = np.concatenate((kept_keys, keys))
-        best = np.lexsort((ids, -keys))[:k]
+        best = np.lexsort((ids, keys))[:k]
         kept_ids, kept_keys = ids[best], keys[best]
         n_seen += len(w)
         if stats is not None:
@@ -139,6 +138,7 @@ WEIGHT_KINDS = {
     "huge": lambda g, n: np.full(n, 1e300),
     "spread": lambda g, n: np.exp(g.normal(0.0, 30.0, n)),
     "mixed": lambda g, n: g.choice([1e-300, 1.0, 1e300], n),
+    "subnormal": lambda g, n: g.choice([5e-324, 1e-310, 1e-300], n),
 }
 
 
@@ -146,7 +146,7 @@ WEIGHT_KINDS = {
 def top_k_cases(draw):
     """(items, K, seed, coarse) with n in [1, 3*_CHUNK+1] and K in [1, n+1];
     ids are a permutation of a sparse range, and at most one id repeats or
-    one weight is zero, below the key range, negative, inf or NaN."""
+    one weight is zero, negative, -inf, inf or NaN."""
     n = draw(st.one_of(st.integers(1, 40),
                        st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 3 * _CHUNK + 1]),
                        st.integers(1, 3 * _CHUNK + 1)))
@@ -159,7 +159,7 @@ def top_k_cases(draw):
     if fault == "repeat":
         ids[pos] = ids[draw(st.integers(0, n - 1))]
     elif fault == "weight":
-        weights[pos] = draw(st.sampled_from([0.0, 1e-310, -1.0, math.inf, math.nan]))
+        weights[pos] = draw(st.sampled_from([0.0, -1.0, -math.inf, math.inf, math.nan]))
     items = list(zip(ids.tolist(), weights.tolist()))
     return items, k, draw(st.integers(0, 2**16)), draw(st.booleans())
 
@@ -187,21 +187,26 @@ class TestSelectTopK:
                 select_top_k([(0, 1.0), (1, bad)], 1, RngState(0))
 
     @pytest.mark.parametrize("tiny", [1e-310, 5e-324])
-    def test_rejects_weight_below_key_range(self, tiny):
-        # ln(a) / w overflowed to -inf here, so these items tied and went by id:
-        # id 0 won a 1-of-5 draw 88.5% of the time where its weight gives 12.5%
+    def test_subnormal_weights_sample_by_ratio(self, tiny):
+        # keys ln(a) / w overflowed to -inf below 2.04e-307, so these items tied
+        # and went by id: id 0 won 88.5% of draws where its weight gives 12.5%
         items = [(0, tiny), (1, tiny), (2, tiny), (3, tiny), (4, 4 * tiny)]
-        with pytest.raises(ValueError, match=f"at least 2.044e-307, got {tiny}$"):
-            select_top_k(items, 1, RngState(0))
+        rng = RngState(0)
+        counts = np.zeros(5)
+        for _ in range(40000):
+            (i,) = select_top_k(items, 1, rng)
+            counts[i] += 1
+        assert_one_in_eight_frequencies(counts)
 
     def test_smallest_weight_keeps_keys_finite(self):
-        # the smallest uniform 2**-53 over the smallest weight is -DBL_MAX, not -inf
+        # the smallest uniform 2**-53 at the smallest weight 5e-324 gives the
+        # key ln(53 ln 2) + 744.4, finite, with no floating-point error
         class SmallestRng:
             def uniforms_open(self, size):
                 return np.full(size, 2.0**-53)
 
         with np.errstate(all="raise"):
-            assert select_top_k([(0, _MIN_WEIGHT), (1, 1.0)], 1, SmallestRng()) == {1}
+            assert select_top_k([(0, 5e-324), (1, 1.0)], 1, SmallestRng()) == {1}
 
     def test_determinism(self):
         items = [(i, 0.5 + i) for i in range(50)]
@@ -340,7 +345,8 @@ class TestSelectPositions:
     def test_matches_stream_path(self, case):
         weights, k, seed, coarse = case
         results = []
-        for select in (select_positions, lambda w, k, rng: select_top_k(enumerate(w.tolist()), k, rng)):
+        for select in (lambda w, k, rng: select_positions(np.log(w), k, rng),
+                       lambda w, k, rng: select_top_k(enumerate(w.tolist()), k, rng)):
             rng = RngState(seed)
             out = select(weights, k, CoarseRng(rng) if coarse else rng)
             results.append((out, rng.uniforms_open(1)[0]))
@@ -351,17 +357,31 @@ class TestSelectPositions:
         w = np.linspace(0.5, 3.0, _CHUNK + 1)
         assert select_positions(w, len(w), RngState(0)) == set(range(len(w)))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, 1e-310])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("n", [3, _CHUNK + 3])
     def test_same_weight_errors_as_stream(self, bad, n):
+        # a weight outside (0, inf) has a log that is not finite: the stream
+        # names the weight, the array path its log, both before too few items
         w = np.ones(n)
         w[n - 2] = bad
-        for k in (1, n + 1):  # a bad weight is found before too few items
-            with pytest.raises(ValueError) as stream_exc:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_w = np.log(w)
+        for k in (1, n + 1):
+            with pytest.raises(ValueError, match=f"^weights must be positive and finite, got {bad}$"):
                 select_top_k(enumerate(w.tolist()), k, RngState(0))
-            with pytest.raises(ValueError, match="positive and finite") as array_exc:
-                select_positions(w, k, RngState(0))
-            assert str(array_exc.value) == str(stream_exc.value)
+            with pytest.raises(ValueError, match=f"^log weights must be finite, got {log_w[n - 2]}$"):
+                select_positions(log_w, k, RngState(0))
+
+    def test_log_weight_past_double_range(self):
+        # e^-800 is below the smallest double, yet these items sample by ratio
+        log_w = np.full(5, -800.0)
+        log_w[4] += math.log(4)
+        rng = RngState(0)
+        counts = np.zeros(5)
+        for _ in range(40000):
+            (i,) = select_positions(log_w, 1, rng)
+            counts[i] += 1
+        assert_one_in_eight_frequencies(counts)
 
     @pytest.mark.parametrize("n, k", [(0, 1), (3, 4), (_CHUNK, _CHUNK + 1), (5, 0)])
     def test_same_count_errors_as_stream(self, n, k):
@@ -375,6 +395,15 @@ class TestSelectPositions:
     def test_rejects_2d_weights(self):
         with pytest.raises(ValueError, match="1-D"):
             select_positions(np.ones((3, 2)), 1, RngState(0))
+
+
+def assert_one_in_eight_frequencies(counts):
+    """Items 0-3 at one weight and item 4 at four times it: each count
+    within 4.5 binomial SE of 1/8, 1/8, 1/8, 1/8, 1/2 of all draws."""
+    draws = counts.sum()
+    expected = np.array([0.125] * 4 + [0.5])
+    se = np.sqrt(expected * (1 - expected) / draws)
+    assert (np.abs(counts / draws - expected) < 4.5 * se).all(), counts / draws
 
 
 def pair_probabilities_oracle(weights):
@@ -458,7 +487,7 @@ class TestUniformSample:
         got_rng, oracle_rng, positions_rng = (RngState(17, (n, k)) for _ in range(3))
         got = uniform_sample(ids, k, got_rng)
         assert got == oracle_uniform_sample(ids, k, oracle_rng)
-        assert got == {ids[p] for p in select_positions(np.ones(n), k, positions_rng)}
+        assert got == {ids[p] for p in select_positions(np.zeros(n), k, positions_rng)}
         next_draws = {r.uniforms_open(1)[0] for r in (got_rng, oracle_rng, positions_rng)}
         assert len(next_draws) == 1
 
@@ -477,7 +506,7 @@ class TestUniformSample:
 
 def oracle_uniform_sample(ids, k, rng):
     """Per-item keys: one uniform a per id in order, then the K ids with the
-    largest ln a, ties toward the smaller id."""
+    largest ln a (the smallest ln(-ln a)), ties toward the smaller id."""
     keys = np.log(rng.uniforms_open(len(ids))).tolist()
     order = sorted(range(len(ids)), key=lambda i: (-keys[i], ids[i]))
     return {int(ids[i]) for i in order[:k]}

@@ -3,6 +3,7 @@ limit behaviors (d=0 is Random, d large greedy-like, eps=0 greedy)."""
 
 import bisect
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -13,8 +14,7 @@ from hypothesis import strategies as st
 from alselect.classifier import ModelParams, fit
 from alselect.probs import entropy_lower_bound
 from alselect.sampling import _CHUNK, _PARTITION_SURPLUS, RngState, select_top_k
-from alselect.strategies import (_LOG_W_CLIP, StrategyConfig, StrategyKind, score_pool,
-                                 select_batch)
+from alselect.strategies import StrategyConfig, StrategyKind, score_pool, select_batch
 
 
 def oracle_score(W, x, chi):
@@ -264,14 +264,14 @@ class TestWeighted:
 
     def test_greedy_limit_is_exact(self):
         # once d*ln(u_(B)/u_(B+1)) > 40.4 the (B+1)-th best item would need
-        # -ln a to span a ratio past e^40.34, which no double uniform does
+        # ln(-ln a) to span more than 40.34, which no double uniform does
         b = 10
         for seed in range(200):
             u = make_scores(np.random.default_rng(seed).permutation(np.linspace(0.2, 2.0, 40)))
             ranked = np.sort(u)[::-1]
             d_min = 40.41 / math.log(ranked[b - 1] / ranked[b])
             greedy = select_batch(StrategyConfig(kind=StrategyKind.GREEDY), u, b, RngState(seed))
-            for d in (d_min, 1e6, 1e300):
+            for d in (d_min, 1e6, 1e300, sys.float_info.max):
                 cfg = StrategyConfig(kind=StrategyKind.WEIGHTED, exponent_d=d)
                 assert select_batch(cfg, u, b, RngState(seed)) == greedy
 
@@ -294,8 +294,9 @@ class TestWeighted:
     @pytest.mark.parametrize("d", [0.0, 1.0, 16.0, 1e6])
     @pytest.mark.parametrize("n, b", [(40, 10), (_CHUNK + 1, 30), (5500, 30), (3 * _CHUNK, 2000)])
     def test_matches_tuple_stream_selection(self, d, n, b):
-        # the array path gives the sets the (id, weight) stream gave, so a
-        # run's records stay byte-identical
+        # the log-weight path gives the sets the (id, weight) stream gave at
+        # the weights (u/u_B)^d, d*ln(u/u_B) clipped to [-64, 64], so a run's
+        # records stay byte-identical
         cfg = StrategyConfig(kind=StrategyKind.WEIGHTED, exponent_d=d)
         g = np.random.default_rng(n)
         for seed in range(5):
@@ -303,7 +304,7 @@ class TestWeighted:
             log_u = np.log(u)
             log_u_b = np.sort(log_u)[n - b]
             with np.errstate(over="ignore"):
-                w = np.exp(np.clip(d * (log_u - log_u_b), -_LOG_W_CLIP, _LOG_W_CLIP))
+                w = np.exp(np.clip(d * (log_u - log_u_b), -64.0, 64.0))
             new_rng, old_rng = RngState(seed, (n, b)), RngState(seed, (n, b))
             assert select_batch(cfg, u, b, new_rng) == select_top_k(enumerate(w.tolist()), b, old_rng)
             assert new_rng.uniforms_open(1)[0] == old_rng.uniforms_open(1)[0]
