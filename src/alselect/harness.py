@@ -22,7 +22,7 @@ from .classifier import FitConfig, accuracy, fit
 from .data import Dataset, standardize_apply, standardize_fit
 from .errors import ConfigError
 from .probs import LemmaBoundInput, LemmaBoundReport, lemma_bound
-from .sampling import RngState, select_positions, uniform_sample
+from .sampling import _CHUNK, RngState, gumbel_keys, uniform_sample
 from .sampling import select_top_k  # noqa: F401  perfbench/tracer.py wraps this name
 from .strategies import StrategyConfig, score_pool, select_batch
 
@@ -384,10 +384,19 @@ def validate_lemma(spec: SynthPocketSpec, chi: float, delta: float,
 
     Pool of spec.n items with a round(beta*n) pocket; pocket items carry
     the entropy floor zeta, everything else ln k (the maximum), isolating
-    the sampling claim from classifier behavior. Each repeat takes the
-    bound's n_s items in one `select_positions` draw over the pool's
-    log-weight array and counts whether any pocket item was hit; the
-    repeats read one (spec.seed, lemma tag) stream in turn. With `equal_weights`
+    the sampling claim from classifier behavior. Each repeat is the bound's
+    n_s-item draw `select_positions(log_w, n_s, rng)` over the pool's
+    log-weight array, and counts whether any pocket item was hit; the
+    repeats read one (spec.seed, lemma tag) stream in turn. The draws are
+    not made one by one: a block of max(1, _CHUNK // n) repeats takes one
+    `uniforms_open(rows * n)` read, keyed by `gumbel_keys` with one row per
+    repeat, and a row hits when its smallest pocket key is at most its
+    n_s-th smallest key. That is exact, ties included: the pocket holds the
+    smallest positions, and a tie at the n_s-th key goes to the smaller
+    position. The hits are those of one `select_positions` call per repeat
+    on the same stream, unless a uniform is exactly 0 (probability 2**-53
+    per draw): it is redrawn after its block rather than after its repeat,
+    so later draws shift. With `equal_weights`
     the pocket carries ln k too, so the n_s items are a uniform draw
     without replacement and the exact hit rate is 1 - C(n-m, n_s)/C(n, n_s)
     for an m-item pocket (1 - (1-beta)^n_s only approximates it, as if the
@@ -413,9 +422,12 @@ def validate_lemma(spec: SynthPocketSpec, chi: float, delta: float,
     hits = 0
     if bound.n_s > 0:
         rng = RngState(spec.seed).derive(_LEMMA)
-        for _ in range(repeats):
-            if min(select_positions(log_w, bound.n_s, rng)) < pocket_m:
-                hits += 1
+        rows = max(1, _CHUNK // spec.n)
+        for done in range(0, repeats, rows):
+            block = min(rows, repeats - done)
+            keys = gumbel_keys(rng.uniforms_open(block * spec.n).reshape(block, spec.n), log_w)
+            kth = np.partition(keys, bound.n_s - 1, axis=1)[:, bound.n_s - 1]
+            hits += int(np.count_nonzero(keys[:, :pocket_m].min(axis=1) <= kth))
     return LemmaValidationReport(
         bound=bound, repeats=repeats, hits=hits,
         hit_rate=hits / repeats, target=1.0 - delta,

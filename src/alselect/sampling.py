@@ -5,14 +5,20 @@ keeping the K smallest keys realizes weighted sampling without replacement
 in one pass with O(K) retained items. This is the exponent key a^(1/w) of
 Efraimidis & Spirakis under a strictly decreasing map (the Gumbel-top-k
 form), so it ranks the same, but it takes l itself: any finite l gives a
-finite key, and no weight has to be normalised into float range first. One
-merge serves every entry point: `select_positions` runs it once over a
-log-weight array, `uniform_sample` once over an id array at log weight 0
-(the keys ln(-ln a) are then i.i.d., so the top K is a uniform K-subset),
-and `select_top_k` once per chunk of an (id, weight) stream. It merges a
-block into the retained items by one `lexsort`, after a `partition` has
-dropped every key above the K-th best when the merge holds many more than K
-candidates.
+finite key, and no weight has to be normalised into float range first.
+
+`gumbel_keys` computes the key for its two users. The first is the merge,
+which serves every sampling entry point: `select_positions` runs it once
+over a log-weight array, `uniform_sample` once over an id array at log
+weight 0 (the keys ln(-ln a) are then i.i.d., so the top K is a uniform
+K-subset), and `select_top_k` once per chunk of an (id, weight) stream. It
+merges a block into the retained items by one `lexsort`, after a
+`partition` has dropped every key above the K-th best when the merge holds
+many more than K candidates. The second is `harness.validate_lemma`, which
+needs only whether a draw hits a pocket of the smallest positions: it keys
+a block of repeats at once, one row per repeat, and counts a hit when the
+smallest pocket key is at most the row's K-th smallest key (a tie at the
+K-th key goes to the smaller position, which is then a pocket one).
 """
 
 from __future__ import annotations
@@ -56,8 +62,12 @@ class RngState:
 
     def uniforms_open(self, size: int) -> np.ndarray:
         """Block of doubles in the open interval (0, 1); zero hits are
-        redrawn in place. Consecutive blocks read one stream, so one block
-        of `size` equals `size` one-element blocks unless a zero is redrawn."""
+        redrawn in place, after the whole block. Consecutive blocks read one
+        stream, so one block of `rows * n` doubles equals `rows` blocks of
+        `n` (and `size` one-element blocks) unless a zero is redrawn, which
+        happens with probability 2**-53 per double. `harness.validate_lemma`
+        relies on this: it reads its repeats' uniforms a block of rows at a
+        time and gets the hits of one `select_positions` call per repeat."""
         arr = self._gen.random(size)
         while n_zero := size - np.count_nonzero(arr):
             arr[arr == 0.0] = self._gen.random(n_zero)
@@ -85,6 +95,14 @@ class SelectionStats:
     peak_retained: int = 0
 
 
+def gumbel_keys(uniforms: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+    """Sampling keys ln(-ln a) - l for uniforms a in (0, 1) and finite log
+    weights l; broadcasts, so a (rows, n) block of uniforms against n log
+    weights gives each row the keys one merge over those n items would rank.
+    The K smallest keys of a row are its weighted draw without replacement."""
+    return np.log(-np.log(uniforms)) - log_w
+
+
 def _merge(kept_ids, kept_keys, ids: np.ndarray, log_w: np.ndarray, k: int,
            rng: RngState) -> tuple[np.ndarray, np.ndarray]:
     """Merge one block of ids and finite log weights into the retained items.
@@ -93,7 +111,7 @@ def _merge(kept_ids, kept_keys, ids: np.ndarray, log_w: np.ndarray, k: int,
     ln(-ln a) - l: the best of the retained ones and the block, ranked by
     (key, id) ascending.
     """
-    keys = np.log(-np.log(rng.uniforms_open(len(log_w)))) - log_w
+    keys = gumbel_keys(rng.uniforms_open(len(log_w)), log_w)
     if kept_ids is not None:
         ids = np.concatenate((kept_ids, ids))
         keys = np.concatenate((kept_keys, keys))

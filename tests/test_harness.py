@@ -14,7 +14,7 @@ from alselect import cli, harness
 from alselect.harness import (ExperimentConfig, SynthPocketSpec, biased_init,
                               generate_pocket_dataset, holdout_ids,
                               run_experiment, run_trial, validate_lemma)
-from alselect.sampling import _CHUNK, RngState, select_top_k
+from alselect.sampling import _CHUNK, RngState, select_positions, select_top_k
 from alselect.strategies import StrategyConfig, StrategyKind
 
 
@@ -457,6 +457,36 @@ class TestValidateLemma:
             assert report.hits == hits
             assert 0 < hits < 60
 
+    @pytest.mark.parametrize("n", [400, _CHUNK + 904])
+    @pytest.mark.parametrize("equal_weights", [False, True])
+    def test_hit_rule_exact_under_ties(self, monkeypatch, n, equal_weights):
+        # uniforms rounded onto {1/4, 1/2, 3/4} make the keys tie by the hundred,
+        # at the n_s-th key too; 97 repeats end on a short block at n=400
+        class CoarseRng(RngState):
+            def derive(self, *keys):
+                return CoarseRng(self.seed, self.path + keys)
+
+            def uniforms_open(self, size):
+                return (np.floor(super().uniforms_open(size) * 3.0) + 1.0) / 4.0
+
+        monkeypatch.setattr(harness, "RngState", CoarseRng)
+        spec = small_spec(n=n, d=10, k=10, beta=0.05,
+                          train_prevalence=tuple([0.1] * 10),
+                          pool_prevalence=tuple([0.1] * 10),
+                          pocket_class=0, seed=9)
+        report = validate_lemma(spec, chi=0.05, delta=0.9, repeats=97,
+                                equal_weights=equal_weights)
+        m = round(spec.beta * n)
+        weights = np.full(n, math.log(10))
+        if not equal_weights:
+            weights[:m] = report.bound.zeta
+        rng = CoarseRng(9).derive(harness._LEMMA)
+        hits = sum(min(select_positions(np.log(weights), report.bound.n_s, rng)) < m
+                   for _ in range(97))
+        assert report.hits == hits
+        if equal_weights:  # these hits are ties at the n_s-th key, which `<` would miss
+            assert hits > 0
+
     @pytest.mark.parametrize("repeats", [50, 500])
     def test_one_stream_per_call(self, monkeypatch, repeats):
         # every RngState built, derive's children included, goes through __init__
@@ -488,7 +518,7 @@ class TestValidateLemma:
     def test_no_guarantee_draws_nothing(self, monkeypatch):
         def no_draw(*args):
             raise AssertionError("delta=1 needs no draw")
-        monkeypatch.setattr(harness, "select_positions", no_draw)
+        monkeypatch.setattr(harness.RngState, "uniforms_open", no_draw)
         spec = small_spec(n=400, d=10, k=10, beta=0.05,
                           train_prevalence=tuple([0.1] * 10),
                           pool_prevalence=tuple([0.1] * 10),
