@@ -4,7 +4,8 @@ and empirically validating the hitting-probability bound."""
 
 __version__ = "0.1.0"
 
-from .classifier import FitConfig, ModelParams, accuracy, fit, predict_proba_matrix
+from .classifier import (FitConfig, ModelParams, accuracy, design, fit,
+                         predict_proba_matrix)
 from .data import (Dataset, StandardizationParams, load_csv, standardize_apply,
                    standardize_fit)
 from .errors import ConfigError, DataFormatError, VacuousBoundError

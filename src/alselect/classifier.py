@@ -5,14 +5,23 @@ start), fixed iteration order, no randomness anywhere. The bias is a
 constant-one feature column and is excluded from the L2 penalty so the
 lambda->inf limit predicts exactly the uniform distribution.
 
+`design` is the one way to build a design matrix: feature rows with a
+constant-one bias column appended, shape (n, d+1). `fit` takes raw feature
+rows and builds its own design; `predict_proba_matrix`, `accuracy` and
+`strategies.score_pool` take rows of a design the caller built once
+(`harness.run_trial` builds one per trial and gathers its rows per call).
+
 Probabilities are held class-major, shape (k, n): the softmax reduces
 down axis 0, k elementwise passes over contiguous rows of n, rather than
 across n rows only k wide. `predict_proba_matrix` returns the (n, k)
 transposed view.
 
-The Hessian is two matrix products of one class-major array, with no loop
-over classes, and the indices it adds its diagonal blocks and penalty
-through are built once per (k, d) (see `_hessian`).
+Each loss evaluation in `fit` keeps the probabilities P it computed, so a
+Newton step's Hessian is built from the P of the accepted evaluation: one
+softmax per evaluation, none per step. The Hessian is two matrix products
+of one class-major array, with no loop over classes, and the indices it
+adds its diagonal blocks and penalty through are built once per (k, d)
+(see `_hessian`).
 
 Each Newton step is one LU solve of the Hessian plus the outer product of
 the unit bias-shift vector, which gives the min-norm step while l2_reg > 0,
@@ -63,7 +72,9 @@ class ModelParams:
         object.__setattr__(self, "weights", w)
 
 
-def _augment(features: np.ndarray) -> np.ndarray:
+def design(features) -> np.ndarray:
+    """The (n, d+1) design matrix of n feature rows: the rows as float64
+    with a constant-one bias column appended, C-contiguous."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {X.shape}")
@@ -78,21 +89,31 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grad(W, Xa, labels, k, l2_reg):
-    """Regularized mean cross-entropy and its gradient at weights W.
+    """Regularized mean cross-entropy and its gradient at weights W, for
+    rows Xa of a design matrix.
 
     The penalty is (l2/2)*||W||^2 over everything except the bias column.
     Exposed so tests can check the gradient against finite differences.
     """
+    loss, G, _ = _evaluate(W, Xa, labels, l2_reg)
+    return loss, G
+
+
+def _evaluate(W, Xa, labels, l2_reg):
+    """`loss_and_grad`'s loss and gradient, and the class-major softmax
+    probabilities P at W they were computed from, for `_hessian`."""
     n = Xa.shape[0]
+    rows = np.arange(n)
     with np.errstate(over="ignore", invalid="ignore"):
         P = _softmax(W @ Xa.T)
-        logp = np.log(np.clip(P[labels, np.arange(n)], 1e-300, None))
+        logp = np.log(np.clip(P[labels, rows], 1e-300, None))
         loss = -logp.mean() + 0.5 * l2_reg * float((W[:, :-1] ** 2).sum())
-        P[labels, np.arange(n)] -= 1.0  # P - Y for the one-hot Y, in place
-        # transposed product, not P @ Xa, which rounds differently in the last bits
-        G = (Xa.T @ P.T).T / n
+        R = P.copy()
+        R[labels, rows] -= 1.0  # P - Y for the one-hot Y
+        # transposed product, not R @ Xa, which rounds differently in the last bits
+        G = (Xa.T @ R.T).T / n
         G[:, :-1] += l2_reg * W[:, :-1]
-    return loss, G
+    return loss, G, P
 
 
 @functools.lru_cache(maxsize=16)
@@ -109,9 +130,10 @@ def _block_layout(k: int, p: int):
     return blocks, penalized
 
 
-def _hessian(W, Xa, l2_reg):
+def _hessian(P, Xa, Xt, l2_reg):
     """Hessian of `loss_and_grad`'s loss over W.ravel(), shape (k*(d+1))^2,
-    and the class-major probabilities P at W it was built from.
+    at the weights W whose class-major probabilities on the design rows Xa
+    are P; Xt is `np.ascontiguousarray(Xa.T)`, which `fit` builds once.
 
     With At the (k*p, n) array whose row (c, j) is P[c] * Xa[:, j] (p = d+1),
     H is -At At^T / n. The one product At Xa / n, shape (k*p, p), stacks the
@@ -120,17 +142,16 @@ def _hessian(W, Xa, l2_reg):
     than At.
     """
     n, p = Xa.shape
-    k = W.shape[0]
-    P = _softmax(W @ Xa.T)
-    # a contiguous Xa^T lets the broadcast product stream both operands
-    At = np.multiply(P[:, None, :], np.ascontiguousarray(Xa.T)).reshape(k * p, n)
+    k = P.shape[0]
+    # the contiguous Xt lets the broadcast product stream both operands
+    At = np.multiply(P[:, None, :], Xt).reshape(k * p, n)
     H = At @ At.T
     H /= -n
     blocks, penalized = _block_layout(k, p)
     flat = H.reshape(-1)
     flat[blocks] += At @ Xa / n
     flat[penalized] += l2_reg
-    return H, P
+    return H
 
 
 def _clear_of_rounding(A) -> bool:
@@ -182,7 +203,7 @@ def fit(features, labels, n_classes: int, cfg: FitConfig = FitConfig(),
     collect the per-iteration loss. A warm start stops at
     a different point inside `tol` than a cold one.
     """
-    Xa = _augment(features)
+    Xa = design(features)
     y = np.asarray(labels, dtype=np.int64)
     n, _ = Xa.shape
     if n < 1:
@@ -204,13 +225,14 @@ def fit(features, labels, n_classes: int, cfg: FitConfig = FitConfig(),
     v = np.zeros(W.shape)
     v[:, -1] = 1.0 / math.sqrt(n_classes)
     vvT = np.outer(v, v)
-    loss, G = loss_and_grad(W, Xa, y, n_classes, cfg.l2_reg)
+    Xt = np.ascontiguousarray(Xa.T)
+    loss, G, P = _evaluate(W, Xa, y, cfg.l2_reg)
     for _ in range(_MAX_ITERS):
         if loss_history is not None:
             loss_history.append(loss)
         if np.abs(G).max() < cfg.tol:
             break
-        H, P = _hessian(W, Xa, cfg.l2_reg)
+        H = _hessian(P, Xa, Xt, cfg.l2_reg)
         A = H + vvT
         # P.min() is nan, so not > 0, where the scores overflowed
         if cfg.l2_reg > 0 and P.min() > 0 and _clear_of_rounding(A):
@@ -225,33 +247,35 @@ def fit(features, labels, n_classes: int, cfg: FitConfig = FitConfig(),
             break
         for t in 0.5 ** np.arange(51):
             trial = W + t * step
-            trial_loss, trial_G = loss_and_grad(trial, Xa, y, n_classes, cfg.l2_reg)
+            trial_loss, trial_G, trial_P = _evaluate(trial, Xa, y, cfg.l2_reg)
             # `<=` is False for an overflowed (nan) loss, so that step is halved too
             if trial_loss <= loss + 1e-4 * t * slope:
                 # carried over, so no W is evaluated twice
-                W, loss, G = trial, trial_loss, trial_G
+                W, loss, G, P = trial, trial_loss, trial_G, trial_P
                 break
         else:
             break
     return ModelParams(weights=W, k=n_classes, d=Xa.shape[1] - 1)
 
 
-def predict_proba_matrix(params: ModelParams, features) -> np.ndarray:
-    """Softmax class probabilities, shape (n, k): the transposed view of the
-    class-major (k, n) array, so `.T` gives each class's row contiguous."""
-    Xa = _augment(features)
-    if Xa.shape[1] != params.d + 1:
-        raise ValueError(f"feature dim {Xa.shape[1] - 1} != model dim {params.d}")
+def predict_proba_matrix(params: ModelParams, Xa) -> np.ndarray:
+    """Softmax class probabilities for n rows of a design matrix (see
+    `design`), shape (n, k): the transposed view of the class-major (k, n)
+    array, so `.T` gives each class's row contiguous."""
+    Xa = np.asarray(Xa, dtype=np.float64)
+    if Xa.ndim != 2 or Xa.shape[1] != params.d + 1:
+        raise ValueError(f"design rows of shape {Xa.shape} do not fit a model of "
+                         f"dim {params.d} (need {params.d + 1} columns)")
     return _softmax(params.weights @ Xa.T).T
 
 
-def accuracy(params: ModelParams, features, labels) -> float:
-    """Fraction of rows whose argmax prediction matches the label; `labels`
-    must have shape (n,) for n feature rows.
+def accuracy(params: ModelParams, Xa, labels) -> float:
+    """Fraction of the n design rows Xa whose argmax prediction matches the
+    label; `labels` must have shape (n,).
 
     Argmax ties break toward the smallest class index (numpy argmax order).
     """
-    P = predict_proba_matrix(params, features).T
+    P = predict_proba_matrix(params, Xa).T
     y = np.asarray(labels, dtype=np.int64)
     if y.shape != (P.shape[1],):
         raise ValueError(f"labels shape {y.shape} does not match {P.shape[1]} rows")

@@ -69,11 +69,12 @@ def load_csv(path, label_column: str) -> Dataset:
     UTF-8 and feature cells must parse as finite floats.
 
     `csv.reader` reads the header row. If `_needs_per_cell_parse` finds
-    the file plain, one `np.loadtxt` call parses its records, kept if every
-    feature is finite. Otherwise (a quote, a blank line, a long line, a
-    ragged row, a cell numpy refuses but `float` takes, such as `1_000`, or
-    a bad cell) `_parse_records` parses the file cell by cell with
-    `csv.reader` and `float`, raising the first fault in file order.
+    the file plain, one `np.loadtxt` call on the path parses its records,
+    kept if every feature is finite. Otherwise (a quote, a blank line, a
+    long line, a ragged row, a cell numpy refuses but `float` takes, such
+    as `1_000`, a bad cell, or a file name numpy would decompress)
+    `_parse_records` parses the file cell by cell with `csv.reader` and
+    `float`, raising the first fault in file order.
     """
     path = Path(path)
     try:
@@ -92,9 +93,8 @@ def load_csv(path, label_column: str) -> Dataset:
                 raise DataFormatError(f"{path}: file is empty or has no header row")
 
             parsed = None
-            if not _needs_per_cell_parse(path):
-                fh.seek(0)
-                parsed = _parse_table(fh, len(header), label_idx)
+            if not path.name.endswith(_DECOMPRESSED) and not _needs_per_cell_parse(path):
+                parsed = _parse_table(path, len(header), label_idx)
             if parsed is None:
                 fh.seek(0)
                 parsed = _parse_records(path, csv.reader(fh), label_idx)
@@ -118,6 +118,9 @@ def load_csv(path, label_column: str) -> Dataset:
 
 
 _SCAN_BYTES = 1 << 18
+# np.loadtxt decompresses a path with one of these suffixes; such a file
+# takes the per-cell parse, which reads it as the text it is
+_DECOMPRESSED = (".bz2", ".gz", ".lzma", ".xz")
 
 
 def _needs_per_cell_parse(path) -> bool:
@@ -153,16 +156,20 @@ def _needs_per_cell_parse(path) -> bool:
         return fh.tell() - prev_end - 1 > limit  # the last line
 
 
-def _parse_table(fh, width: int, label_idx: int) -> tuple[np.ndarray, list[str]] | None:
+def _parse_table(path, width: int, label_idx: int) -> tuple[np.ndarray, list[str]] | None:
     """Parse every record after the one-line header in one `np.loadtxt` call.
 
+    numpy is handed the path, so it opens the file itself (UTF-8, a leading
+    byte-order mark skipped) and reads it in blocks; handed an open file, it
+    would pull the lines one by one through Python's iterator.
     Returns the features and the raw label strings, or None where numpy
     refuses a record or a feature is not finite.
     """
     fields = [f"c{i}" for i in range(width)]
     dtype = [(name, object if i == label_idx else np.float64) for i, name in enumerate(fields)]
     try:
-        table = np.loadtxt(fh, delimiter=",", comments=None, skiprows=1, dtype=dtype, ndmin=1)
+        table = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, dtype=dtype,
+                           ndmin=1, encoding="utf-8-sig")
     except ValueError:
         return None  # a cell or record numpy refuses; _parse_records decides
     raw_labels = table[fields.pop(label_idx)].tolist()

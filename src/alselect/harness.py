@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifier import FitConfig, accuracy, fit
+from .classifier import FitConfig, accuracy, design, fit
 from .data import Dataset, standardize_apply, standardize_fit
 from .errors import ConfigError
 from .probs import LemmaBoundInput, LemmaBoundReport, lemma_bound
@@ -122,7 +122,10 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
 
     The round-0 record is the pre-query baseline (the classifier fit on the
     initial labeled set). Standardization is fit on the initial labeled
-    rows only and frozen for the whole trial. The oracle is the dataset's
+    rows only and frozen for the whole trial. The standardized rows get
+    their bias column once, in one design matrix for the trial: pool
+    scoring and holdout accuracy gather its rows each round, and `fit`
+    gathers its feature columns. The oracle is the dataset's
     ground truth. Round 0's fit starts from zero weights; every later round
     warm-starts from the previous round's model, so no state crosses trials.
 
@@ -157,7 +160,11 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
     state[remaining[list(init_pos)]] = _ROW_LABELED
 
     std = standardize_fit(dataset.features[state == _ROW_LABELED])
-    Z = standardize_apply(std, dataset.features)
+    # one design matrix for the trial; Z, its feature columns, is a view of it.
+    # Each call gathers its rows: a product over every row, sliced afterwards,
+    # would round differently from the product over just the rows gathered
+    Xa = design(standardize_apply(std, dataset.features))
+    Z = Xa[:, :-1]
 
     records: list[RoundRecord] = []
     model = None
@@ -167,7 +174,7 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
         try:
             if r:
                 pool_idx = np.flatnonzero(state == _ROW_POOL)
-                scores = score_pool(model, Z[pool_idx], cfg.strategy)
+                scores = score_pool(model, Xa[pool_idx], cfg.strategy)
                 pos = np.fromiter(select_batch(cfg.strategy, scores, cfg.batch, select_rng),
                                   dtype=np.int64)
                 distinct = len(np.unique(pos))
@@ -182,7 +189,7 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
 
             lab_idx = np.flatnonzero(state == _ROW_LABELED)
             model = fit(Z[lab_idx], dataset.labels[lab_idx], dataset.k, cfg.fit, init=model)
-            acc = accuracy(model, Z[hold_idx], dataset.labels[hold_idx])
+            acc = accuracy(model, Xa[hold_idx], dataset.labels[hold_idx])
         except Exception as exc:
             exc.add_note(f"in trial {trial_index}, round {r}")
             raise

@@ -57,14 +57,15 @@ class StrategyConfig:
             raise ValueError(f"exponent_d must be finite and >= 0, got {self.exponent_d}")
 
 
-def score_pool(model: ModelParams, pool_features, cfg: StrategyConfig) -> np.ndarray:
-    """Smoothed predictive entropy (nats) for every pool row, one pass.
+def score_pool(model: ModelParams, pool_rows, cfg: StrategyConfig) -> np.ndarray:
+    """Smoothed predictive entropy (nats) for every pool row, one pass, from
+    the pool's rows of a design matrix (`classifier.design`).
 
     For each row: r = softmax(Wx), v = (1-chi)r + chi/k, u = H(v). The
     probabilities are held class-major, shape (k, n), and the entropy sums
     down axis 0.
     """
-    P = predict_proba_matrix(model, pool_features).T
+    P = predict_proba_matrix(model, pool_rows).T
     k = P.shape[0]
     V = (1.0 - cfg.chi) * P + cfg.chi / k
     return -(V * np.log(V)).sum(axis=0)

@@ -14,13 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from alselect.classifier import FitConfig, _augment, loss_and_grad
+from alselect.classifier import FitConfig, design, loss_and_grad
 from alselect.cli import main as cli_main
 from alselect.harness import (ExperimentConfig, SynthPocketSpec,
                               generate_pocket_dataset, holdout_ids,
                               run_experiment, validate_lemma)
 from alselect.probs import entropy_ratio_bound
-from alselect.sampling import RngState, select_positions
+from alselect.sampling import RngState, gumbel_keys, select_positions
 from alselect.strategies import StrategyConfig, StrategyKind
 
 
@@ -50,18 +50,38 @@ def test_criterion_1_entropy_bound(capsys):
                time.perf_counter() - t0, 5.0)
 
 
+def block_draws(seed, log_w, draws):
+    """`draws` weighted draws over the items of `log_w`, as one block: a
+    (draws, n) array of keys, row r holding the keys the r-th of `draws`
+    `select_positions(log_w, K, RngState(seed))` calls in a row would rank
+    (see `validate_lemma`). A row's K smallest keys, ties to the smaller
+    position, are that call's K picks."""
+    n = len(log_w)
+    return gumbel_keys(RngState(seed).uniforms_open(draws * n).reshape(draws, n), log_w)
+
+
+def assert_block_equals_loop(seed, log_w, picks):
+    """The picks of a block's first rows are those of one `select_positions`
+    call per row on the same stream."""
+    rng = RngState(seed)
+    loop = [select_positions(log_w, len(row), rng) for row in picks]
+    assert [set(row) for row in picks] == loop, "block picks differ from select_positions"
+
+
 def test_criterion_2_single_draw_inclusion(capsys):
-    """Single-draw selection frequencies match w_i/sum(w) within 0.005."""
+    """Single-draw selection frequencies match w_i/sum(w) within 0.005.
+
+    The 200k draws are one block (`block_draws`); each row's pick is its
+    smallest key, and the first 20,000 picks are checked against a
+    `select_positions` loop."""
     t0 = time.perf_counter()
     weights = [1.0, 2.0, 3.0, 4.0, 10.0]
     expected = np.array(weights) / sum(weights)  # [0.05 0.10 0.15 0.20 0.50]
     draws = 200_000
-    counts = np.zeros(5)
-    rng = RngState(2025)
     log_w = np.log(weights)
-    for _ in range(draws):
-        (i,) = select_positions(log_w, 1, rng)
-        counts[i] += 1
+    picks = block_draws(2025, log_w, draws).argmin(axis=1)
+    counts = np.bincount(picks, minlength=5)
+    assert_block_equals_loop(2025, log_w, picks[:20_000, None].tolist())
     dev = np.abs(counts / draws - expected).max()
     with capsys.disabled():
         report(2, dev < 0.005, f"max |freq - w/sum(w)| = {dev:.4f} < 0.005",
@@ -70,7 +90,11 @@ def test_criterion_2_single_draw_inclusion(capsys):
 
 def test_criterion_3_pair_frequencies_vs_enumeration(capsys):
     """Unordered-pair frequencies match brute-force enumeration of
-    sequential weighted sampling without replacement, within 0.01."""
+    sequential weighted sampling without replacement, within 0.01.
+
+    The 200k draws are one block (`block_draws`); each row's pair is its
+    two smallest keys, and the first 20,000 pairs are checked against a
+    `select_positions` loop."""
     t0 = time.perf_counter()
     weights = [1.0, 2.0, 3.0, 4.0]
     total = sum(weights)
@@ -82,11 +106,12 @@ def test_criterion_3_pair_frequencies_vs_enumeration(capsys):
     assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
 
     draws = 200_000
-    counts = {k: 0 for k in exact}
-    rng = RngState(2026)
     log_w = np.log(weights)
-    for _ in range(draws):
-        counts[frozenset(select_positions(log_w, 2, rng))] += 1
+    pairs = np.argsort(block_draws(2026, log_w, draws), axis=1, kind="stable")[:, :2]
+    codes = np.bincount(pairs.min(axis=1) * 4 + pairs.max(axis=1), minlength=16)
+    counts = {key: codes[min(key) * 4 + max(key)] for key in exact}
+    assert sum(counts.values()) == draws  # every row picked two distinct items
+    assert_block_equals_loop(2026, log_w, pairs[:20_000].tolist())
     dev = max(abs(counts[k] / draws - exact[k]) for k in exact)
     with capsys.disabled():
         report(3, dev < 0.01, f"max |pair freq - enumeration| = {dev:.4f} < 0.01",
@@ -129,7 +154,7 @@ def test_criterion_5_gradient_check(capsys):
         X = rng.standard_normal((n, d))
         y = rng.integers(0, k, size=n)
         W = rng.standard_normal((k, d + 1)) * 0.7
-        Xa = _augment(X)
+        Xa = design(X)
         _, G = loss_and_grad(W, Xa, y, k, 1e-4)
         G_fd = np.zeros_like(W)
         step = 1e-5

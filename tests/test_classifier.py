@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from alselect import classifier
-from alselect.classifier import (_MAX_ITERS, FitConfig, ModelParams, _augment, _hessian,
-                                 accuracy, fit, loss_and_grad, predict_proba_matrix)
+from alselect.classifier import (_MAX_ITERS, FitConfig, ModelParams, _evaluate, _hessian,
+                                 _softmax, accuracy, design, fit, loss_and_grad,
+                                 predict_proba_matrix)
 
 
 def finite_difference_grad(W, Xa, y, k, l2, step=1e-5):
@@ -55,10 +56,15 @@ def reference_hessian(W, Xa, l2_reg):
     return H
 
 
-def reference_fit(X, y, k, cfg, init=None, hessian=lambda W, Xa, l2: _hessian(W, Xa, l2)[0]):
+def hessian_at(W, Xa, l2_reg):
+    """`_hessian` at weights W, from the probabilities a fresh softmax gives."""
+    return _hessian(_softmax(W @ Xa.T), Xa, np.ascontiguousarray(Xa.T), l2_reg)
+
+
+def reference_fit(X, y, k, cfg, init=None, hessian=hessian_at):
     """`fit` as it stood with a min-norm `lstsq` solve for every Newton step:
     (weights, loss history)."""
-    Xa = _augment(X)
+    Xa = design(X)
     W = np.zeros((k, Xa.shape[1])) if init is None else init.weights.copy()
     losses = []
     loss, G = loss_and_grad(W, Xa, y, k, cfg.l2_reg)
@@ -109,7 +115,7 @@ class TestGradient:
             X = rng.standard_normal((n, d))
             y = rng.integers(0, k, size=n)
             W = rng.standard_normal((k, d + 1)) * 0.5
-            Xa = _augment(X)
+            Xa = design(X)
             _, G = loss_and_grad(W, Xa, y, k, 1e-4)
             G_fd = finite_difference_grad(W, Xa, y, k, 1e-4)
             rel = np.linalg.norm(G - G_fd) / max(np.linalg.norm(G_fd), 1e-12)
@@ -138,21 +144,26 @@ class TestRowMajorReference:
 
     def check(self, k, n, bias, seed, d=10):
         W, X, y = kernel_problem(k, n, bias=bias, seed=seed, d=d)
-        Xa = _augment(X)
+        Xa = design(X)
         loss, G = loss_and_grad(W, Xa, y, k, 1e-3)
         params = ModelParams(weights=W, k=k, d=d)
-        P = predict_proba_matrix(params, X)
+        P = predict_proba_matrix(params, Xa)
         assert P.shape == (n, k)
         assert np.isfinite(loss) and np.isfinite(G).all() and np.isfinite(P).all()
         ref_loss, ref_G = reference_loss_and_grad(W, Xa, y, 1e-3)
         self.assert_same(loss, ref_loss, k)
         self.assert_same(G, ref_G, k)
         ref_P = reference_softmax_rows(Xa @ W.T)
-        H, hessian_P = _hessian(W, Xa, 1e-3)
+        # `fit` builds each Hessian from the probabilities of the evaluation
+        # that gave its loss and gradient
+        eval_loss, eval_G, eval_P = _evaluate(W, Xa, y, 1e-3)
+        assert eval_loss == loss and np.array_equal(eval_G, G)
+        self.assert_same(eval_P.T, ref_P, k)
+        H = _hessian(eval_P, Xa, np.ascontiguousarray(Xa.T), 1e-3)
         self.assert_close(H, reference_hessian(W, Xa, 1e-3))
-        self.assert_same(hessian_P.T, ref_P, k)
+        assert np.array_equal(H, hessian_at(W, Xa, 1e-3))
         self.assert_same(P, ref_P, k)
-        assert accuracy(params, X, y) == float((ref_P.argmax(axis=1) == y).mean())
+        assert accuracy(params, Xa, y) == float((ref_P.argmax(axis=1) == y).mean())
 
     @pytest.mark.parametrize("k", [2, 3, 7, 8, 10])
     @pytest.mark.parametrize("n", [1, 2, 100, 1000])
@@ -177,11 +188,11 @@ class TestBlockLayout:
         # another shape, builds the Hessian a freshly built layout builds
         problems = [kernel_problem(k, 200, seed=i) for i, k in enumerate((3, 10, 3))]
         classifier._block_layout.cache_clear()
-        cached = [_hessian(W, _augment(X), 1e-3)[0] for W, X, _ in problems]
+        cached = [hessian_at(W, design(X), 1e-3) for W, X, _ in problems]
         assert classifier._block_layout.cache_info().hits == 1
         for H, (W, X, _) in zip(cached, problems):
             classifier._block_layout.cache_clear()
-            assert np.array_equal(H, _hessian(W, _augment(X), 1e-3)[0])
+            assert np.array_equal(H, hessian_at(W, design(X), 1e-3))
 
     def test_cached_layout_is_read_only(self):
         for index in classifier._block_layout(3, 11):
@@ -212,7 +223,7 @@ class TestNewtonStep:
 
     @staticmethod
     def assert_converged(params, X, y, k, cfg):
-        _, G = loss_and_grad(params.weights, _augment(X), y, k, cfg.l2_reg)
+        _, G = loss_and_grad(params.weights, design(X), y, k, cfg.l2_reg)
         assert np.abs(G).max() < cfg.tol
 
     @pytest.mark.parametrize("k", [2, 3, 10])
@@ -229,6 +240,33 @@ class TestNewtonStep:
                                       reference_fit(X, y, k, cfg, hessian=reference_hessian)):
                 assert len(losses) == len(ref_losses)
                 np.testing.assert_allclose(params.weights, ref_W, rtol=1e-9)
+
+    def test_one_softmax_per_evaluation(self, monkeypatch):
+        # each Newton step's Hessian reuses the probabilities of the loss
+        # evaluation it steps from, so the only softmaxes are the evaluations'
+        problems = [self.problem(3, 0), self.problem(10, 1), *line_search_problems()]
+        uncounted = [fit(X, y, int(y.max()) + 1).weights for X, y in problems]
+        counts = {"softmax": 0, "evaluate": 0}
+        softmax, evaluate = classifier._softmax, classifier._evaluate
+
+        def counting_softmax(scores):
+            counts["softmax"] += 1
+            return softmax(scores)
+
+        def counting_evaluate(*args):
+            counts["evaluate"] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(classifier, "_softmax", counting_softmax)
+        monkeypatch.setattr(classifier, "_evaluate", counting_evaluate)
+        for (X, y), weights in zip(problems, uncounted):
+            counts.update(softmax=0, evaluate=0)
+            losses = []
+            params = fit(X, y, int(y.max()) + 1, loss_history=losses)
+            assert np.array_equal(params.weights, weights)
+            # at least len(losses) - 1 Newton steps built a Hessian
+            assert len(losses) > 2 and counts["evaluate"] >= len(losses)
+            assert counts["softmax"] == counts["evaluate"]
 
     def test_solves_without_lstsq(self, monkeypatch):
         def refused(*args, **kwargs):
@@ -279,7 +317,7 @@ class TestFit:
         X = np.array([[-1.0], [1.0]])
         y = np.array([0, 1])
         params = fit(X, y, 2, FitConfig(l2_reg=0.0))
-        assert accuracy(params, X, y) == 1.0
+        assert accuracy(params, design(X), y) == 1.0
 
     def test_huge_regularization_gives_uniform(self):
         # the penalty dominates so feature weights collapse; the unpenalized
@@ -289,7 +327,7 @@ class TestFit:
         y = np.repeat([0, 1, 2], 10)
         params = fit(X, y, 3, FitConfig(l2_reg=500.0))
         assert np.abs(params.weights[:, :-1]).max() < 1e-3
-        P = predict_proba_matrix(params, X)
+        P = predict_proba_matrix(params, design(X))
         assert np.abs(P - 1 / 3).max() < 0.02
 
     def test_constant_labels(self):
@@ -297,7 +335,7 @@ class TestFit:
         X = rng.standard_normal((15, 3))
         y = np.zeros(15, dtype=int)
         params = fit(X, y, 2, FitConfig())
-        assert accuracy(params, X, y) == 1.0
+        assert accuracy(params, design(X), y) == 1.0
 
     def test_loss_monotone(self):
         for X, y in line_search_problems():
@@ -309,12 +347,13 @@ class TestFit:
     def test_each_iterate_evaluated_once(self, monkeypatch):
         # the accepted line-search trial's loss and gradient start the next iteration
         seen = []
+        evaluate = classifier._evaluate
 
         def recording(W, *args):
             seen.append(W.tobytes())
-            return loss_and_grad(W, *args)
+            return evaluate(W, *args)
 
-        monkeypatch.setattr(classifier, "loss_and_grad", recording)
+        monkeypatch.setattr(classifier, "_evaluate", recording)
         for X, y in line_search_problems():
             seen.clear()
             losses = []
@@ -341,7 +380,7 @@ class TestFit:
             X = rng.standard_normal((60, 4)) + 2.0 * np.eye(3, 4)[y]
             losses = []
             params = fit(X, y, 3, cfg, loss_history=losses)
-            _, G = loss_and_grad(params.weights, _augment(X), y, 3, l2_reg)
+            _, G = loss_and_grad(params.weights, design(X), y, 3, l2_reg)
             assert np.abs(G).max() < cfg.tol
             assert len(losses) < _MAX_ITERS
 
@@ -356,14 +395,14 @@ class TestFit:
         losses = []
         params = fit(X, y, 2, FitConfig(l2_reg=1.0, tol=1e-10), loss_history=losses)
         assert len(losses) < 10
-        _, G = loss_and_grad(params.weights, _augment(X), y, 2, 1.0)
+        _, G = loss_and_grad(params.weights, design(X), y, 2, 1.0)
         assert np.abs(G).max() < 1e-7
 
     def test_absent_class_still_scored(self):
         X = np.array([[-1.0], [1.0], [-2.0], [2.0]])
         y = np.array([0, 1, 0, 1])
         params = fit(X, y, 3, FitConfig())
-        p = predict_proba_matrix(params, np.array([[0.5]]))[0]
+        p = predict_proba_matrix(params, design(np.array([[0.5]])))[0]
         assert p.shape == (3,)
 
     def test_validation(self):
@@ -411,10 +450,11 @@ class TestWarmStart:
             warm_losses, cold_losses = [], []
             warm = fit(X[:n], y[:n], 3, cfg, loss_history=warm_losses, init=prev)
             cold = fit(X[:n], y[:n], 3, cfg, loss_history=cold_losses)
-            _, G = loss_and_grad(warm.weights, _augment(X[:n]), y[:n], 3, cfg.l2_reg)
+            _, G = loss_and_grad(warm.weights, design(X[:n]), y[:n], 3, cfg.l2_reg)
             assert np.abs(G).max() < cfg.tol
-            np.testing.assert_allclose(predict_proba_matrix(warm, X[:n]),
-                                       predict_proba_matrix(cold, X[:n]), rtol=0, atol=1e-6)
+            Xa = design(X[:n])
+            np.testing.assert_allclose(predict_proba_matrix(warm, Xa),
+                                       predict_proba_matrix(cold, Xa), rtol=0, atol=1e-6)
             warm_iters += len(warm_losses)
             cold_iters += len(cold_losses)
             prev = warm
@@ -424,13 +464,13 @@ class TestWarmStart:
 class TestPredictProba:
     def test_zero_weights_uniform(self):
         params = ModelParams(weights=np.zeros((4, 3)), k=4, d=2)
-        p = predict_proba_matrix(params, np.array([3.0, -1.0])[None, :])[0]
+        p = predict_proba_matrix(params, design(np.array([3.0, -1.0])[None, :]))[0]
         assert p == pytest.approx([0.25] * 4, abs=1e-15)
 
     def test_strong_weights_oracle(self):
         # softmax(10, -10) = [0.9999999979388463, 2.0611536181902033e-09]
         params = ModelParams(weights=np.array([[10.0, 0.0], [-10.0, 0.0]]), k=2, d=1)
-        p = predict_proba_matrix(params, np.array([1.0])[None, :])[0]
+        p = predict_proba_matrix(params, design(np.array([1.0])[None, :]))[0]
         assert p[0] == pytest.approx(1.0, abs=1e-8)
         assert p[1] == pytest.approx(2.0611536181902033e-09, rel=1e-6)
 
@@ -439,14 +479,14 @@ class TestPredictProba:
         W = rng.standard_normal((3, 4))
         x = rng.standard_normal(3)
         perm = [2, 0, 1]
-        p = predict_proba_matrix(ModelParams(weights=W, k=3, d=3), x[None, :])[0]
-        q = predict_proba_matrix(ModelParams(weights=W[perm], k=3, d=3), x[None, :])[0]
+        p = predict_proba_matrix(ModelParams(weights=W, k=3, d=3), design(x[None, :]))[0]
+        q = predict_proba_matrix(ModelParams(weights=W[perm], k=3, d=3), design(x[None, :]))[0]
         assert q == pytest.approx(p[perm], abs=1e-15)
 
     def test_dimension_mismatch(self):
         params = ModelParams(weights=np.zeros((2, 3)), k=2, d=2)
         with pytest.raises(ValueError):
-            predict_proba_matrix(params, np.array([1.0])[None, :])
+            predict_proba_matrix(params, design(np.array([1.0])[None, :]))
 
     def test_valid_probvector_at_extreme_inputs(self):
         rng = np.random.default_rng(6)
@@ -454,7 +494,7 @@ class TestPredictProba:
         params = ModelParams(weights=W, k=5, d=10)
         for scale in (1.0, 1e3, 1e6):
             x = rng.uniform(-scale, scale, size=10)
-            p = predict_proba_matrix(params, x[None, :])[0]
+            p = predict_proba_matrix(params, design(x[None, :]))[0]
             assert np.isfinite(p).all() and (p >= 0).all()
             assert abs(p.sum() - 1.0) <= 1e-9
 
@@ -464,24 +504,24 @@ class TestAccuracy:
         params = ModelParams(weights=np.array([[0.0, 5.0], [0.0, -5.0]]), k=2, d=1)
         X = np.array([[0.0]] * 10)
         y = np.array([0] * 5 + [1] * 5)
-        assert accuracy(params, X, y) == 0.5
+        assert accuracy(params, design(X), y) == 0.5
 
     def test_perfect_model(self):
         X = np.array([[-1.0], [1.0]] * 4)
         y = np.array([0, 1] * 4)
         params = fit(X, y, 2, FitConfig(l2_reg=0.0))
-        assert accuracy(params, X, y) == 1.0
+        assert accuracy(params, design(X), y) == 1.0
 
     def test_uniform_ties_break_to_class_zero(self):
         params = ModelParams(weights=np.zeros((2, 2)), k=2, d=1)
         X = np.zeros((10, 1))
         y = np.array([0] * 7 + [1] * 3)
-        assert accuracy(params, X, y) == pytest.approx(0.7)
+        assert accuracy(params, design(X), y) == pytest.approx(0.7)
 
     def test_empty_rejected(self):
         params = ModelParams(weights=np.zeros((2, 2)), k=2, d=1)
         with pytest.raises(ValueError):
-            accuracy(params, np.zeros((0, 1)), np.zeros(0, dtype=int))
+            accuracy(params, design(np.zeros((0, 1))), np.zeros(0, dtype=int))
 
     @pytest.mark.parametrize("rows, labels", [
         (5, np.array([1])),                # one label would broadcast over 5 rows
@@ -491,4 +531,4 @@ class TestAccuracy:
     def test_label_shape_mismatch_rejected(self, rows, labels):
         params = ModelParams(weights=np.array([[0.0, 5.0], [0.0, -5.0]]), k=2, d=1)
         with pytest.raises(ValueError, match="labels shape"):
-            accuracy(params, np.zeros((rows, 1)), labels)
+            accuracy(params, design(np.zeros((rows, 1))), labels)

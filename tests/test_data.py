@@ -289,6 +289,34 @@ class TestLoadCsv:
         assert ds.features.tolist() == [[1.5, -2e-3], [3.0, 4.0]]
         assert ds.label_names == (" a b ", "c")
 
+    def test_numpy_is_handed_the_path(self, tmp_path, monkeypatch):
+        # handed an open file, np.loadtxt pulls its lines one by one through
+        # Python; handed the path, it opens the file and reads it in blocks
+        seen = []
+        real = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda fname, *a, **kw: seen.append(fname)
+                            or real(fname, *a, **kw))
+        p = write(tmp_path, "\ufeffx,y\r\n1.5,a\r\n2.5,b\r\n")
+        ds = load_csv(p, "y")
+        assert seen == [p]
+        assert ds.feature_names == ("x",)
+        assert ds.features.tolist() == [[1.5], [2.5]]
+        assert ds.label_names == ("a", "b")
+
+    @pytest.mark.parametrize("suffix", [".bz2", ".gz", ".lzma", ".xz"])
+    def test_compressed_suffix_read_as_text(self, tmp_path, monkeypatch, suffix):
+        # np.loadtxt would decompress a path with this suffix; a plain CSV
+        # so named is parsed cell by cell, as the text it is
+        calls = []
+        real = alselect.data._parse_records
+        monkeypatch.setattr(alselect.data, "_parse_records",
+                            lambda *args: calls.append(1) or real(*args))
+        p = write(tmp_path, "x,y\n1.5,a\n2.5,b\n", f"data.csv{suffix}")
+        ds = load_csv(p, "y")
+        assert ds.features.tolist() == [[1.5], [2.5]]
+        assert ds.label_names == ("a", "b")
+        assert calls == [1]
+
     def test_quoted_file_goes_to_per_cell_parse(self, tmp_path, monkeypatch):
         # numpy never reads quotes: any `"` byte sends the file to csv.reader
         calls = []

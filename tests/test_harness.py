@@ -6,8 +6,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alselect.classifier import FitConfig, accuracy, fit
+from alselect.classifier import FitConfig, ModelParams, accuracy, design, fit
 from alselect.data import standardize_apply, standardize_fit
 from alselect.errors import ConfigError, VacuousBoundError
 from alselect import cli, harness
@@ -15,7 +17,7 @@ from alselect.harness import (ExperimentConfig, SynthPocketSpec, biased_init,
                               generate_pocket_dataset, holdout_ids,
                               run_experiment, run_trial, validate_lemma)
 from alselect.sampling import _CHUNK, RngState, select_positions, select_top_k
-from alselect.strategies import StrategyConfig, StrategyKind
+from alselect.strategies import StrategyConfig, StrategyKind, score_pool
 
 
 def small_spec(**overrides):
@@ -289,6 +291,62 @@ class TestRunTrial:
         assert weights == within_weights
 
 
+def per_call_hstack_probs(W, Z, idx):
+    """The class-major probabilities at the rows idx of a feature matrix Z
+    as scored before the trial's design matrix: the gathered rows with a
+    ones column stacked on, then a softmax down axis 0."""
+    Xa = np.hstack([Z[idx], np.ones((len(idx), 1))])
+    s = W @ Xa.T
+    P = np.exp(s - s.max(axis=0))
+    P /= P.sum(axis=0)
+    return P
+
+
+@st.composite
+def design_row_problems(draw):
+    """A feature matrix Z of 1 to 3000 rows, weights W, a smoothing floor
+    and labels, and a subset of Z's rows (one row, often) in any order."""
+    n = draw(st.integers(1, 3000))
+    d = draw(st.integers(1, 12))
+    k = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Z = rng.standard_normal((n, d)) * draw(st.sampled_from([0.1, 1.0, 30.0]))
+    W = rng.standard_normal((k, d + 1)) * draw(st.sampled_from([0.0, 1.0, 10.0]))
+    m = draw(st.one_of(st.just(1), st.integers(1, n)))
+    idx = rng.choice(n, size=m, replace=False)
+    if draw(st.booleans()):
+        idx.sort()
+    chi = draw(st.floats(1e-3, 0.999))
+    return Z, ModelParams(weights=W, k=k, d=d), idx, chi, rng.integers(0, k, size=m)
+
+
+class TestDesignRows:
+    """run_trial builds one design matrix per trial and scores the rows it
+    gathers from it; each call's product has the shape and the operands of
+    the old per-call `hstack`, so the scores and accuracies keep its bits."""
+
+    @given(design_row_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_gathered_rows_score_as_the_per_call_hstack(self, problem):
+        Z, model, idx, chi, labels = problem
+        Xa = design(Z)
+        assert np.array_equal(Xa[:, :-1], Z) and (Xa[:, -1] == 1.0).all()
+        P = per_call_hstack_probs(model.weights, Z, idx)
+        V = (1.0 - chi) * P + chi / model.k
+        scores = score_pool(model, Xa[idx], StrategyConfig(kind=StrategyKind.WEIGHTED, chi=chi))
+        assert np.array_equal(scores, -(V * np.log(V)).sum(axis=0))
+        assert accuracy(model, Xa[idx], labels) == float((P.argmax(axis=0) == labels).mean())
+
+    def test_rows_without_the_bias_column_are_refused(self):
+        # raw feature rows are one column short of a design, so a caller who
+        # skips `design` gets an error, not scores from a shifted weight row
+        with pytest.raises(ValueError, match="2-D"):
+            design(np.zeros(3))
+        model = ModelParams(weights=np.zeros((2, 3)), k=2, d=2)
+        with pytest.raises(ValueError, match="columns"):
+            score_pool(model, np.zeros((4, 2)), StrategyConfig(kind=StrategyKind.GREEDY))
+
+
 class TestRunExperiment:
     def test_deterministic(self):
         # everything except the wall-clock elapsed_ms must reproduce exactly
@@ -379,7 +437,7 @@ class TestGeneratePocketDataset:
         std = standardize_fit(dataset.features[mask])
         Z = standardize_apply(std, dataset.features)
         model = fit(Z[mask], dataset.labels[mask], dataset.k)
-        pocket_acc = accuracy(model, Z[pocket_idx], dataset.labels[pocket_idx])
+        pocket_acc = accuracy(model, design(Z[pocket_idx]), dataset.labels[pocket_idx])
         assert 1.0 - pocket_acc >= 0.9
 
     def test_overlap_region(self):

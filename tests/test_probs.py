@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alselect.classifier import ModelParams
+from alselect.classifier import ModelParams, design
 from alselect.errors import VacuousBoundError
 from alselect.probs import (LemmaBoundInput, entropy_lower_bound,
                             entropy_ratio_bound, lemma_bound)
@@ -38,7 +38,7 @@ def pool_scores(rows, chi):
         logits = np.maximum(np.log(R), -1e3)
     model = ModelParams(weights=np.hstack([logits.T, np.zeros((k, 1))]), k=k, d=n)
     cfg = StrategyConfig(kind=StrategyKind.WEIGHTED, chi=chi)
-    return score_pool(model, np.eye(n), cfg)
+    return score_pool(model, design(np.eye(n)), cfg)
 
 
 def oracle_smooth(r, chi):
@@ -67,7 +67,7 @@ class TestRowMajorReference:
         W = rng.standard_normal((k, 11))
         W[:, -1] += bias
         X = rng.standard_normal((n, 10))
-        u = score_pool(ModelParams(weights=W, k=k, d=10), X,
+        u = score_pool(ModelParams(weights=W, k=k, d=10), design(X),
                        StrategyConfig(kind=StrategyKind.WEIGHTED, chi=0.05))
         ref = reference_score_pool(W, X, 0.05)
         assert u.shape == (n,) and np.isfinite(u).all()

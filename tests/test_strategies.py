@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alselect.classifier import ModelParams, fit
+from alselect.classifier import ModelParams, design, fit
 from alselect.probs import entropy_lower_bound
 from alselect.sampling import _CHUNK, _PARTITION_SURPLUS, RngState, select_top_k
 from alselect.strategies import StrategyConfig, StrategyKind, score_pool, select_batch
@@ -65,7 +65,7 @@ class TestScorePool:
         k, d = 4, 3
         model = ModelParams(weights=np.zeros((k, d + 1)), k=k, d=d)
         X = np.random.default_rng(0).standard_normal((50, d))
-        scores = score_pool(model, X, StrategyConfig(kind=StrategyKind.GREEDY, chi=0.2))
+        scores = score_pool(model, design(X), StrategyConfig(kind=StrategyKind.GREEDY, chi=0.2))
         assert np.unique(scores).size == 1  # identical inputs, identical score
         assert scores[0] == pytest.approx(math.log(k), abs=1e-12)
 
@@ -73,7 +73,7 @@ class TestScorePool:
         # r ~ [1, 0] then v = [0.95, 0.05]; H(v) = 0.1985152433458726
         model = ModelParams(weights=np.array([[60.0, 0.0], [-60.0, 0.0]]), k=2, d=1)
         X = np.array([[1.0]])
-        scores = score_pool(model, X, StrategyConfig(kind=StrategyKind.GREEDY, chi=0.1))
+        scores = score_pool(model, design(X), StrategyConfig(kind=StrategyKind.GREEDY, chi=0.1))
         assert scores[0] == pytest.approx(0.1985152433458726, abs=1e-9)
 
     def test_matches_scalar_chain(self):
@@ -83,7 +83,7 @@ class TestScorePool:
         y = rng.integers(0, k, size=20)
         model = fit(X, y, k)
         cfg = StrategyConfig(kind=StrategyKind.WEIGHTED, chi=0.07)
-        scores = score_pool(model, X, cfg)
+        scores = score_pool(model, design(X), cfg)
         for i in range(20):
             u = oracle_score(model.weights.tolist(), X[i].tolist(), 0.07)
             assert scores[i] == pytest.approx(u, rel=1e-9)
@@ -93,7 +93,7 @@ class TestScorePool:
         k, d, chi = 3, 5, 0.2
         model = ModelParams(weights=rng.standard_normal((k, d + 1)) * 3, k=k, d=d)
         X = rng.standard_normal((200, d)) * 4
-        scores = score_pool(model, X, StrategyConfig(kind=StrategyKind.GREEDY, chi=chi))
+        scores = score_pool(model, design(X), StrategyConfig(kind=StrategyKind.GREEDY, chi=chi))
         floor = entropy_lower_bound(chi / k, k)
         assert (scores >= max(floor, 0.0) - 1e-12).all()
         assert (scores <= math.log(k) + 1e-12).all()
