@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import json
 import os
 import shutil
@@ -113,11 +112,6 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _sha256(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
-
-
 def _record_line(rec) -> str:
     # elapsed_ms is wall-clock and would break byte-identical reruns; it is
     # reported in the manifest timing section instead. dataclasses.asdict
@@ -198,9 +192,8 @@ def cmd_run(args) -> int:
     if not ancestor.is_dir():
         raise ConfigError(f"out_dir {out_dir} cannot be created: {ancestor} is not a directory")
     dataset = load_csv(values["dataset_path"], values["label_column"])
-    checksum = _sha256(values["dataset_path"])
     result = run_experiment(dataset, cfg)
-    write_run_outputs(out_dir, values, cfg, result, checksum, dataset.label_names)
+    write_run_outputs(out_dir, values, cfg, result, dataset.source_sha256, dataset.label_names)
     print(f"wrote {len(result.records)} records to {values['out_dir']}; "
           f"final accuracy {100 * result.final_accuracy_mean:.2f} "
           f"± {100 * result.final_accuracy_std:.2f}")

@@ -160,11 +160,13 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
     state[remaining[list(init_pos)]] = _ROW_LABELED
 
     std = standardize_fit(dataset.features[state == _ROW_LABELED])
-    # one design matrix for the trial; Z, its feature columns, is a view of it.
-    # Each call gathers its rows: a product over every row, sliced afterwards,
-    # would round differently from the product over just the rows gathered
-    Xa = design(standardize_apply(std, dataset.features))
-    Z = Xa[:, :-1]
+    # one design matrix for the trial; Z, its feature columns, is a view of it,
+    # standardized in place so no standardized copy of the features lives
+    # beside it. Each call gathers its rows: a product over every row, sliced
+    # afterwards, would round differently from the product over just the rows
+    # gathered
+    Xa = design(dataset.features)
+    Z = standardize_apply(std, Xa[:, :-1], out=Xa[:, :-1])
 
     records: list[RoundRecord] = []
     model = None

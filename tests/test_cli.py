@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import alselect.data
 from alselect import cli, harness
 from alselect.cli import (_REQUIRED_KEYS, _RUN_KEYS, EXIT_CONFIG, EXIT_DATA,
                           EXIT_OK, EXIT_RUNTIME, EXIT_VACUOUS, ConfigError,
@@ -411,6 +412,58 @@ class TestRun:
         assert rc1 == rc2 == EXIT_OK
         assert (out1 / "records.jsonl").read_bytes() == (out2 / "records.jsonl").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+    def test_warm_run_reads_the_sidecar(self, capsys, tmp_path, monkeypatch):
+        # the first run parses the CSV and writes its sidecar; the second
+        # parses nothing and writes the same records and the same digest
+        csv_path = make_synth(capsys, tmp_path)
+        digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+        outs = [tmp_path / "cold", tmp_path / "warm"]
+        for i, out_dir in enumerate(outs):
+            if i:
+                for name in ("_parse_table", "_parse_records"):
+                    monkeypatch.setattr(alselect.data, name,
+                                        lambda *args: pytest.fail("a warm run parsed the CSV"))
+            rc, _, err = run_cli(capsys, "run", str(write_config(tmp_path, csv_path, out_dir)))
+            assert rc == EXIT_OK, err
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            assert manifest["dataset_sha256"] == digest
+            assert Path(f"{csv_path}.parsed").is_file()
+        assert len({(o / "records.jsonl").read_bytes() for o in outs}) == 1
+
+    def test_manifest_digest_is_of_the_parsed_bytes(self, capsys, tmp_path, monkeypatch):
+        # a file rewritten while it loads has no digest that describes the
+        # parse: the run exits 3 and writes nothing
+        csv_path = make_synth(capsys, tmp_path)
+        real = alselect.data._parse_table
+
+        def rewrite_then_parse(*args):
+            with open(csv_path, "a", encoding="utf-8") as fh:
+                fh.write("0,0,0,0,0\n")
+            return real(*args)
+
+        monkeypatch.setattr(alselect.data, "_parse_table", rewrite_then_parse)
+        out_dir = tmp_path / "o"
+        rc, out, err = run_cli(capsys, "run", str(write_config(tmp_path, csv_path, out_dir)))
+        assert rc == EXIT_DATA
+        assert out == ""
+        assert err == f"error: {csv_path}: file changed while it was read; load it again\n"
+        assert not out_dir.exists()
+        assert not Path(f"{csv_path}.parsed").exists()
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a,b,label\n1.0,2.0,x\n3.0,y\n", "row 1 has 2 cells, expected 3"),
+        ("a,b,label\n1.0,2.0,x\n3.0,nan,y\n", "non-numeric cell 'nan' at row=1, col='b'"),
+        ("a,b,lbl\n1.0,2.0,x\n3.0,4.0,y\n", "column 'label' not found in header"),
+    ])
+    def test_failed_load_exits_3_and_writes_no_sidecar(self, capsys, tmp_path, text, expected):
+        csv_path = tmp_path / "w.csv"
+        csv_path.write_text(text, encoding="utf-8")
+        cfg = write_config(tmp_path, csv_path, tmp_path / "o")
+        for _ in range(2):
+            rc, out, err = run_cli(capsys, "run", str(cfg))
+            assert (rc, out, err) == (EXIT_DATA, "", f"error: {csv_path}: {expected}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "w.csv"]
 
 
 class TestConfigParsing:

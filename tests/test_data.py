@@ -1,6 +1,7 @@
 """CSV ingestion and standardization tests."""
 
 import csv
+import hashlib
 import math
 import tempfile
 import warnings
@@ -445,6 +446,172 @@ class TestLoadCsv:
         assert ds.label_names == ("7", "3")
 
 
+def refuse_parse(monkeypatch):
+    """Make every parse of a CSV's records fail, so only a sidecar can load one."""
+    def refuse(*args):
+        raise AssertionError("parsed a file whose sidecar holds its parse")
+
+    monkeypatch.setattr(alselect.data, "_parse_table", refuse)
+    monkeypatch.setattr(alselect.data, "_parse_records", refuse)
+
+
+def count_parses(monkeypatch):
+    """Count calls of the two record parses; returns the list they append to."""
+    calls = []
+    for name in ("_parse_table", "_parse_records"):
+        real = getattr(alselect.data, name)
+        monkeypatch.setattr(alselect.data, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    return calls
+
+
+def sidecar_of(p):
+    return p.with_name(p.name + ".parsed")
+
+
+def same_load(a, b):
+    """Whether two loads returned the same bits, dtypes, shapes, names and digest."""
+    return (a.features.dtype == b.features.dtype and a.labels.dtype == b.labels.dtype
+            and a.features.shape == b.features.shape
+            and a.features.tobytes() == b.features.tobytes()
+            and a.labels.tobytes() == b.labels.tobytes()
+            and (a.k, a.feature_names, a.label_names, a.source_sha256)
+            == (b.k, b.feature_names, b.label_names, b.source_sha256))
+
+
+# a plain file takes the np.loadtxt parse, a quoted one the per-cell parse
+PARSE_OF = {"plain": "_parse_table", "quoted": "_parse_records"}
+SIDECAR_TEXTS = {
+    "plain": "\ufeffx\u00e9,y,z\r\n1.5,\u00e9,-2e-3\r\n2.5,a\x00,1e300\r\n"
+             "-0.0, x,5e-324\r\n3.25,\u00e9,7\r\n",
+    "quoted": 'x\u00e9,y,z\n1.5,"\u00e9",1_000\n2.5,a\x00,1e300\n-0.0, x,5e-324\n3.25,"a,\nb",7\n',
+}
+
+
+class TestSidecar:
+    @pytest.mark.parametrize("kind", SIDECAR_TEXTS)
+    def test_second_load_parses_nothing(self, tmp_path, monkeypatch, kind):
+        p = write(tmp_path, SIDECAR_TEXTS[kind])
+        with monkeypatch.context() as m:
+            calls = count_parses(m)
+            first = load_csv(p, "y")
+        assert calls == [PARSE_OF[kind]]
+        assert first.source_sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
+        assert sidecar_of(p).is_file()
+        refuse_parse(monkeypatch)
+        second = load_csv(p, "y")
+        assert same_load(second, first)
+        assert second.features.dtype == np.float64 and second.labels.dtype == np.int64
+        for a in (second.features, second.labels):
+            assert a.flags.c_contiguous and a.flags.writeable
+        assert second.feature_names == ("x\u00e9", "z")
+        assert second.label_names[:3] == ("\u00e9", "a\x00", " x")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "data.csv.parsed"]
+
+    @pytest.mark.parametrize("stale", ["label_column", "digest", "format", "truncated_100",
+                                       "truncated_half", "truncated_last_byte", "extra_byte",
+                                       "garbage", "empty"])
+    def test_stale_sidecar_is_ignored_and_replaced(self, tmp_path, monkeypatch, stale):
+        text = "a,y,z\n1.5,1,3\n2.5,2,4\n-1,1,5\n"
+        fresh = load_csv(write(tmp_path, text, "fresh.csv"), "y")
+        d = tmp_path / "d"
+        d.mkdir()
+        p = write(d, text)
+        side = sidecar_of(p)
+        if stale == "label_column":
+            assert load_csv(p, "z").label_names == ("3", "4", "5")
+        elif stale == "digest":
+            load_csv(write(d, text.replace("2.5", "2.75")), "y")
+            p.write_text(text, encoding="utf-8")
+        elif stale == "format":
+            with monkeypatch.context() as m:
+                m.setattr(alselect.data, "_SIDECAR_FORMAT", alselect.data._SIDECAR_FORMAT + 1)
+                load_csv(p, "y")
+        else:
+            load_csv(p, "y")
+            good = side.read_bytes()
+            side.write_bytes({"truncated_100": good[:100], "truncated_half": good[:len(good) // 2],
+                              "truncated_last_byte": good[:-1], "extra_byte": good + b"\0",
+                              "garbage": bytes(range(256)) * 40, "empty": b""}[stale])
+        before = side.read_bytes()
+
+        calls = count_parses(monkeypatch)
+        ds = load_csv(p, "y")
+        assert calls == ["_parse_table"]
+        assert same_load(ds, fresh)
+        assert side.read_bytes() != before
+        assert sorted(q.name for q in d.iterdir()) == ["data.csv", "data.csv.parsed"]
+
+        refuse_parse(monkeypatch)
+        assert same_load(load_csv(p, "y"), ds)
+
+    @pytest.mark.parametrize("failing", ["mkstemp", "write", "replace"])
+    def test_unwritable_directory_loads_and_leaves_no_file(self, tmp_path, monkeypatch, failing):
+        def fail(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        p = write(tmp_path, "x,y\n1.5,a\n2.5,b\n")
+        target = {"mkstemp": (alselect.data.tempfile, "mkstemp"),
+                  "write": (alselect.data.np, "save"),
+                  "replace": (alselect.data.os, "replace")}[failing]
+        with monkeypatch.context() as m:
+            m.setattr(*target, fail)
+            ds = load_csv(p, "y")
+        assert ds.features.tolist() == [[1.5], [2.5]]
+        assert ds.label_names == ("a", "b")
+        assert list(tmp_path.iterdir()) == [p]
+        calls = count_parses(monkeypatch)
+        assert same_load(load_csv(p, "y"), ds)  # the next load parses and writes it
+        assert calls == ["_parse_table"]
+        assert sidecar_of(p).is_file()
+
+    def test_sidecar_gets_the_csv_mode(self, tmp_path):
+        p = write(tmp_path, "x,y\n1.5,a\n2.5,b\n")
+        p.chmod(0o640)
+        load_csv(p, "y")
+        assert sidecar_of(p).stat().st_mode & 0o777 == 0o640
+
+    @pytest.mark.parametrize("text, expected", [
+        ("f1,f2\n1,2\n", "column 'y' not found in header"),
+        ("f1,y\nabc,a\n1.0,b\n", "non-numeric cell 'abc' at row=0, col='f1'"),
+        ("f1,y\n1.0,a\n\n2.0,b\n", "row 1 has 0 cells, expected 2"),
+        ("x,y\n1.0,a\n2.0,a\n", "label column 'y' has one distinct value"),
+        ("f1,y\n", "file is empty or has no header row"),
+    ])
+    def test_failed_load_writes_no_sidecar(self, tmp_path, text, expected):
+        p = write(tmp_path, text)
+        for _ in range(2):
+            with pytest.raises(DataFormatError) as exc:
+                load_csv(p, "y")
+            assert str(exc.value) == f"{p}: {expected}"
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_file_rewritten_mid_load_is_refused_and_cached_under_no_digest(
+            self, tmp_path, monkeypatch):
+        old, new = "x,y\n1.5,a\n2.5,b\n", "x,y\n1.5,a\n2.5,b\n3.5,c\n"
+        p = write(tmp_path, old)
+        real = alselect.data._parse_table
+
+        def rewrite_then_parse(*args):
+            p.write_text(new, encoding="utf-8")
+            return real(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(alselect.data, "_parse_table", rewrite_then_parse)
+            with pytest.raises(DataFormatError) as exc:
+                load_csv(p, "y")
+        assert str(exc.value) == f"{p}: file changed while it was read; load it again"
+        assert list(tmp_path.iterdir()) == [p]
+        # neither content finds a sidecar: each load parses
+        calls = count_parses(monkeypatch)
+        for text, n in [(old, 2), (new, 3)]:
+            p.write_text(text, encoding="utf-8")
+            calls.clear()
+            ds = load_csv(p, "y")
+            assert calls == ["_parse_table"] and ds.n == n
+            assert ds.source_sha256 == hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestDataset:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -492,6 +659,18 @@ class TestStandardize:
         Z = standardize_apply(params, other)
         # other rows do not re-center themselves
         assert Z.mean() > 1.0
+
+    def test_out_gives_the_copy_bits(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(5.0, 3.0, size=(300, 4))
+        params = standardize_fit(X[:40])
+        copy = standardize_apply(params, X)
+        Xa = np.hstack([X, np.ones((300, 1))])
+        out = standardize_apply(params, Xa[:, :-1], out=Xa[:, :-1])
+        assert np.shares_memory(out, Xa)
+        assert out.tobytes() == copy.tobytes()
+        assert (Xa[:, -1] == 1.0).all()
+        assert copy.tobytes() == ((X - params.means) / params.stds).tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):

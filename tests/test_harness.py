@@ -247,6 +247,28 @@ class TestRunTrial:
             assert rec.selected_ids == tuple(pool[:cfg.batch])
             pool = pool[cfg.batch:]
 
+    def test_design_standardized_in_place(self, monkeypatch):
+        # run_trial standardizes the design's feature columns in place, with
+        # the bits of a standardized copy, and leaves the dataset as it was
+        dataset, _ = generate_pocket_dataset(small_spec())
+        raw = dataset.features.copy()
+        real = harness.standardize_apply
+        calls = []
+
+        def spy(params, features, out=None):
+            expected = real(params, dataset.features)
+            result = real(params, features, out=out)
+            calls.append((features, out, result, expected))
+            return result
+
+        monkeypatch.setattr(harness, "standardize_apply", spy)
+        run_trial(dataset, small_config(), 0)
+        [(features, out, result, expected)] = calls
+        assert result is out and np.shares_memory(out, features)
+        assert result.shape == dataset.features.shape
+        assert result.tobytes() == expected.tobytes()
+        assert dataset.features.tobytes() == raw.tobytes()
+
     def test_fit_warm_starts_from_previous_round(self, monkeypatch):
         dataset, _ = generate_pocket_dataset(small_spec())
         cfg = small_config(kind=StrategyKind.WEIGHTED)
