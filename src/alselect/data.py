@@ -9,17 +9,22 @@ non-finite or non-numeric cell are refused, naming the row (and, for a
 cell, the column). Labels may be arbitrary strings; they are mapped to
 dense integers by first appearance.
 
-The first load of a file writes what it parsed to a sidecar, `<csv>.parsed`
-beside it. The sidecar is keyed by the file's SHA-256, the label column,
-the sidecar format and the numpy version; a later load with the same key
-reads the arrays back and parses nothing. Any other sidecar (stale,
-truncated, garbage) is ignored and replaced. The sidecar can be deleted at
-any time. A directory that cannot be written skips it silently.
+`load_csv` only reads the file. `load_csv_cached`, the loader `alselect
+run` uses, writes what it parsed to a sidecar, `<csv>.parsed` beside it, on
+the first load. The sidecar is keyed by the file's SHA-256, the label
+column, the sidecar format and the numpy version, and holds the SHA-256 of
+its own payload; a later load with the same key and an intact payload reads
+the arrays back and parses nothing. Any other sidecar (stale, truncated,
+garbled) is ignored and replaced. The payload digest detects damage, not a
+forgery: whoever can write the directory can write a sidecar that is
+trusted. The sidecar can be deleted at any time. A directory that cannot be
+written skips it silently.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -43,7 +48,7 @@ class Dataset:
     k: int
     feature_names: tuple[str, ...]
     label_names: tuple[str, ...]
-    source_sha256: str | None = None  # of the file the features were loaded from
+    source_sha256: str | None = None  # of the CSV, set by load_csv_cached
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=np.float64)
@@ -79,94 +84,8 @@ def load_csv(path, label_column: str) -> Dataset:
 
     Labels become integers 0..k-1 in order of first appearance, so label i
     is `label_names[i]`, and there must be at least two. The file must be
-    UTF-8 and feature cells must parse as finite floats. The result's
-    `source_sha256` is the digest of the bytes that were parsed.
-
-    One read of the file computes its SHA-256. If the sidecar
-    `<path>.parsed` holds a parse under the same key, that parse is
-    returned. Otherwise the file is parsed (`_parse_csv`) and the parse is
-    written to the sidecar, unless the file changed while it was read,
-    which is a `DataFormatError`: the digest would not describe the parse.
-    """
-    path = Path(path)
-    try:
-        with open(path, "rb") as fh:
-            st = os.fstat(fh.fileno())
-            digest = hashlib.file_digest(fh, "sha256").hexdigest()
-    except OSError as exc:
-        raise DataFormatError(f"{path}: cannot read file: {exc.strerror or exc}") from None
-    sidecar = Path(f"{path}.parsed")
-    key = (json.dumps([_SIDECAR_FORMAT, digest, label_column, np.__version__]) + "\n").encode()
-    dataset = _read_sidecar(sidecar, key, digest)
-    if dataset is not None:
-        return dataset
-    dataset = _parse_csv(path, label_column, digest)
-    try:
-        unchanged = _identity(os.stat(path)) == _identity(st)
-    except OSError:
-        unchanged = False
-    if not unchanged:
-        raise DataFormatError(f"{path}: file changed while it was read; load it again")
-    _write_sidecar(sidecar, key, dataset, stat.S_IMODE(st.st_mode))
-    return dataset
-
-
-# part of every sidecar's key: a change to the layout below bumps it
-_SIDECAR_FORMAT = 1
-
-
-def _identity(st: os.stat_result) -> tuple[int, ...]:
-    # a rewrite or a replacement of the file changes at least one of these
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def _read_sidecar(sidecar: Path, key: bytes, digest: str) -> Dataset | None:
-    """The parse stored in `sidecar` under `key`, or None if there is none.
-
-    The layout is the key line, a JSON line `[feature_names, label_names]`,
-    then the features and the labels, each as one `.npy` record. On a real
-    file `np.load` reads an array with one `fromfile` into its own buffer.
-    """
-    try:
-        with open(sidecar, "rb") as fh:
-            if fh.readline(len(key)) != key:
-                return None
-            feature_names, label_names = json.loads(fh.readline())
-            features = np.load(fh, allow_pickle=False)
-            labels = np.load(fh, allow_pickle=False)
-            if fh.read(1):
-                return None
-        return Dataset(features=features, labels=labels, k=len(label_names),
-                       feature_names=tuple(feature_names), label_names=tuple(label_names),
-                       source_sha256=digest)
-    except (OSError, ValueError, TypeError, EOFError):
-        return None  # missing, truncated or garbled: parse instead
-
-
-def _write_sidecar(sidecar: Path, key: bytes, dataset: Dataset, mode: int) -> None:
-    """Store `dataset` under `key`: write a temp file beside `sidecar`, give
-    it the CSV's mode, and rename it into place. `np.save` on a real file
-    writes each array with one `tofile`, copying nothing. A directory that
-    cannot be written leaves no file and raises nothing."""
-    try:
-        fd, tmp = tempfile.mkstemp(dir=sidecar.parent, prefix=f".{sidecar.name}.")
-        try:
-            with open(fd, "wb") as fh:
-                fh.write(key)
-                fh.write((json.dumps([dataset.feature_names, dataset.label_names]) + "\n").encode())
-                np.save(fh, dataset.features, allow_pickle=False)
-                np.save(fh, dataset.labels, allow_pickle=False)
-            os.chmod(tmp, mode)
-            os.replace(tmp, sidecar)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError:
-        pass  # the next load parses again
-
-
-def _parse_csv(path: Path, label_column: str, digest: str) -> Dataset:
-    """Parse the file; the result carries `digest` as its `source_sha256`.
+    UTF-8 and feature cells must parse as finite floats. Only reads the
+    file; `load_csv_cached` is the loader that keeps each parse.
 
     `csv.reader` reads the header row. If `_needs_per_cell_parse` finds
     the file plain, one `np.loadtxt` call on the path parses its records,
@@ -176,6 +95,7 @@ def _parse_csv(path: Path, label_column: str, digest: str) -> Dataset:
     `_parse_records` parses the file cell by cell with `csv.reader` and
     `float`, raising the first fault in file order.
     """
+    path = Path(path)
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             try:
@@ -213,8 +133,115 @@ def _parse_csv(path: Path, label_column: str, digest: str) -> Dataset:
         k=len(mapping),
         feature_names=feature_names,
         label_names=tuple(mapping),
-        source_sha256=digest,
     )
+
+
+def load_csv_cached(path, label_column: str) -> Dataset:
+    """`load_csv`, keeping its parse in the sidecar `<path>.parsed`.
+
+    The result's `source_sha256` is the SHA-256 of the file. One read
+    computes it; if the sidecar holds a whole parse under the same key
+    (`_read_sidecar`), that parse is returned and the file is not parsed.
+    Otherwise `load_csv` parses it, the file is read and hashed again, and
+    the parse is written to the sidecar. A file that changed between the
+    two reads is a `DataFormatError`: no digest would describe the parse.
+    """
+    path = Path(path)
+    digest, st = _file_digest(path)
+    sidecar = Path(f"{path}.parsed")
+    key = (json.dumps([_SIDECAR_FORMAT, digest, label_column, np.__version__]) + "\n").encode()
+    dataset = _read_sidecar(sidecar, key, digest)
+    if dataset is not None:
+        return dataset
+    dataset = dataclasses.replace(load_csv(path, label_column), source_sha256=digest)
+    try:
+        again, st_again = _file_digest(path)
+        unchanged = again == digest and _identity(st_again) == _identity(st)
+    except DataFormatError:
+        unchanged = False
+    if not unchanged:
+        raise DataFormatError(f"{path}: file changed while it was read; load it again")
+    _write_sidecar(sidecar, key, dataset, stat.S_IMODE(st.st_mode))
+    return dataset
+
+
+# part of every sidecar's key: a change to the layout below bumps it
+_SIDECAR_FORMAT = 2
+
+
+def _file_digest(path: Path) -> tuple[str, os.stat_result]:
+    """The file's SHA-256 and its status as it stood before the read."""
+    try:
+        with open(path, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            return hashlib.file_digest(fh, "sha256").hexdigest(), st
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read file: {exc.strerror or exc}") from None
+
+
+def _identity(st: os.stat_result) -> tuple[int, ...]:
+    # a rewrite or a replacement of the file changes at least one of these,
+    # unless it keeps the size within one mtime tick: the digest catches that
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _read_sidecar(sidecar: Path, key: bytes, digest: str) -> Dataset | None:
+    """The parse stored in `sidecar` under `key`, or None if there is none.
+
+    The layout is the key line, a line holding the SHA-256 of the rest (the
+    payload), then the payload: a JSON line `[feature_names, label_names]`,
+    the features and the labels, each as one `.npy` record. A payload that
+    does not match its digest (truncated, extended, a byte changed) is a
+    miss. On a real file `np.load` reads an array with one `fromfile` into
+    its own buffer.
+    """
+    try:
+        with open(sidecar, "rb") as fh:
+            if fh.readline(len(key)) != key:
+                return None
+            payload_digest = fh.readline(65)
+            start = fh.tell()
+            if hashlib.file_digest(fh, "sha256").hexdigest().encode() + b"\n" != payload_digest:
+                return None
+            fh.seek(start)
+            feature_names, label_names = json.loads(fh.readline())
+            features = np.load(fh, allow_pickle=False)
+            labels = np.load(fh, allow_pickle=False)
+        return Dataset(features=features, labels=labels, k=len(label_names),
+                       feature_names=tuple(feature_names), label_names=tuple(label_names),
+                       source_sha256=digest)
+    except (OSError, ValueError, TypeError, EOFError):
+        return None  # unreadable or not a parse: parse instead
+
+
+def _write_sidecar(sidecar: Path, key: bytes, dataset: Dataset, mode: int) -> None:
+    """Store `dataset` under `key`: write a temp file beside `sidecar`, fill
+    in the payload's digest, give it the CSV's mode, and rename it into
+    place. `np.save` on a file opened for writing only writes each array
+    with one `tofile`, copying nothing. A directory that cannot be written
+    leaves no file and raises nothing."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=sidecar.parent, prefix=f".{sidecar.name}.")
+        try:
+            with open(fd, "wb") as fh:
+                fh.write(key)
+                fh.write(b"0" * 64 + b"\n")  # the payload's digest, filled in below
+                start = fh.tell()
+                fh.write((json.dumps([dataset.feature_names, dataset.label_names]) + "\n").encode())
+                np.save(fh, dataset.features, allow_pickle=False)
+                np.save(fh, dataset.labels, allow_pickle=False)
+            with open(tmp, "r+b") as fh:
+                fh.seek(start)
+                payload_digest = hashlib.file_digest(fh, "sha256").hexdigest()
+                fh.seek(len(key))
+                fh.write(payload_digest.encode())
+            os.chmod(tmp, mode)
+            os.replace(tmp, sidecar)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError:
+        pass  # the next load parses again
 
 
 _SCAN_BYTES = 1 << 18

@@ -1,8 +1,10 @@
 """CSV ingestion and standardization tests."""
 
 import csv
+import dataclasses
 import hashlib
 import math
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,7 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import alselect.data
-from alselect.data import (Dataset, StandardizationParams, load_csv,
+from alselect.data import (Dataset, StandardizationParams, load_csv, load_csv_cached,
                            standardize_apply, standardize_fit)
 from alselect.errors import DataFormatError
 
@@ -494,12 +496,12 @@ class TestSidecar:
         p = write(tmp_path, SIDECAR_TEXTS[kind])
         with monkeypatch.context() as m:
             calls = count_parses(m)
-            first = load_csv(p, "y")
+            first = load_csv_cached(p, "y")
         assert calls == [PARSE_OF[kind]]
         assert first.source_sha256 == hashlib.sha256(p.read_bytes()).hexdigest()
         assert sidecar_of(p).is_file()
         refuse_parse(monkeypatch)
-        second = load_csv(p, "y")
+        second = load_csv_cached(p, "y")
         assert same_load(second, first)
         assert second.features.dtype == np.float64 and second.labels.dtype == np.int64
         for a in (second.features, second.labels):
@@ -510,40 +512,49 @@ class TestSidecar:
 
     @pytest.mark.parametrize("stale", ["label_column", "digest", "format", "truncated_100",
                                        "truncated_half", "truncated_last_byte", "extra_byte",
-                                       "garbage", "empty"])
+                                       "garbage", "empty", "feature_byte", "label_byte",
+                                       "name_byte"])
     def test_stale_sidecar_is_ignored_and_replaced(self, tmp_path, monkeypatch, stale):
         text = "a,y,z\n1.5,1,3\n2.5,2,4\n-1,1,5\n"
-        fresh = load_csv(write(tmp_path, text, "fresh.csv"), "y")
+        fresh = load_csv_cached(write(tmp_path, text, "fresh.csv"), "y")
         d = tmp_path / "d"
         d.mkdir()
         p = write(d, text)
         side = sidecar_of(p)
         if stale == "label_column":
-            assert load_csv(p, "z").label_names == ("3", "4", "5")
+            assert load_csv_cached(p, "z").label_names == ("3", "4", "5")
         elif stale == "digest":
-            load_csv(write(d, text.replace("2.5", "2.75")), "y")
+            load_csv_cached(write(d, text.replace("2.5", "2.75")), "y")
             p.write_text(text, encoding="utf-8")
         elif stale == "format":
             with monkeypatch.context() as m:
                 m.setattr(alselect.data, "_SIDECAR_FORMAT", alselect.data._SIDECAR_FORMAT + 1)
-                load_csv(p, "y")
+                load_csv_cached(p, "y")
         else:
-            load_csv(p, "y")
+            load_csv_cached(p, "y")
             good = side.read_bytes()
+            # the last three keep the length and leave a sidecar that loads,
+            # with another value, label or name: only its payload digest tells
+            value = np.float64(2.5).tobytes()
             side.write_bytes({"truncated_100": good[:100], "truncated_half": good[:len(good) // 2],
                               "truncated_last_byte": good[:-1], "extra_byte": good + b"\0",
-                              "garbage": bytes(range(256)) * 40, "empty": b""}[stale])
+                              "garbage": bytes(range(256)) * 40, "empty": b"",
+                              "feature_byte": good.replace(value, np.float64(2.75).tobytes()),
+                              "label_byte": good[:-8] + b"\1" + good[-7:],
+                              "name_byte": good.replace(b'["a", "z"]', b'["b", "z"]')}[stale])
+            if stale in ("feature_byte", "label_byte", "name_byte"):
+                assert len(side.read_bytes()) == len(good) and side.read_bytes() != good
         before = side.read_bytes()
 
         calls = count_parses(monkeypatch)
-        ds = load_csv(p, "y")
+        ds = load_csv_cached(p, "y")
         assert calls == ["_parse_table"]
         assert same_load(ds, fresh)
         assert side.read_bytes() != before
         assert sorted(q.name for q in d.iterdir()) == ["data.csv", "data.csv.parsed"]
 
         refuse_parse(monkeypatch)
-        assert same_load(load_csv(p, "y"), ds)
+        assert same_load(load_csv_cached(p, "y"), ds)
 
     @pytest.mark.parametrize("failing", ["mkstemp", "write", "replace"])
     def test_unwritable_directory_loads_and_leaves_no_file(self, tmp_path, monkeypatch, failing):
@@ -556,19 +567,19 @@ class TestSidecar:
                   "replace": (alselect.data.os, "replace")}[failing]
         with monkeypatch.context() as m:
             m.setattr(*target, fail)
-            ds = load_csv(p, "y")
+            ds = load_csv_cached(p, "y")
         assert ds.features.tolist() == [[1.5], [2.5]]
         assert ds.label_names == ("a", "b")
         assert list(tmp_path.iterdir()) == [p]
         calls = count_parses(monkeypatch)
-        assert same_load(load_csv(p, "y"), ds)  # the next load parses and writes it
+        assert same_load(load_csv_cached(p, "y"), ds)  # the next load parses and writes it
         assert calls == ["_parse_table"]
         assert sidecar_of(p).is_file()
 
     def test_sidecar_gets_the_csv_mode(self, tmp_path):
         p = write(tmp_path, "x,y\n1.5,a\n2.5,b\n")
         p.chmod(0o640)
-        load_csv(p, "y")
+        load_csv_cached(p, "y")
         assert sidecar_of(p).stat().st_mode & 0o777 == 0o640
 
     @pytest.mark.parametrize("text, expected", [
@@ -582,7 +593,7 @@ class TestSidecar:
         p = write(tmp_path, text)
         for _ in range(2):
             with pytest.raises(DataFormatError) as exc:
-                load_csv(p, "y")
+                load_csv_cached(p, "y")
             assert str(exc.value) == f"{p}: {expected}"
         assert list(tmp_path.iterdir()) == [p]
 
@@ -599,7 +610,7 @@ class TestSidecar:
         with monkeypatch.context() as m:
             m.setattr(alselect.data, "_parse_table", rewrite_then_parse)
             with pytest.raises(DataFormatError) as exc:
-                load_csv(p, "y")
+                load_csv_cached(p, "y")
         assert str(exc.value) == f"{p}: file changed while it was read; load it again"
         assert list(tmp_path.iterdir()) == [p]
         # neither content finds a sidecar: each load parses
@@ -607,9 +618,47 @@ class TestSidecar:
         for text, n in [(old, 2), (new, 3)]:
             p.write_text(text, encoding="utf-8")
             calls.clear()
-            ds = load_csv(p, "y")
+            ds = load_csv_cached(p, "y")
             assert calls == ["_parse_table"] and ds.n == n
             assert ds.source_sha256 == hashlib.sha256(text.encode()).hexdigest()
+
+
+    @pytest.mark.parametrize("how", ["same_tick", "written_back"])
+    def test_file_rewritten_in_place_is_refused(self, tmp_path, monkeypatch, how):
+        # same size and inode. same_tick sets the mtime back, so only the
+        # second digest tells; written_back restores the bytes after the
+        # parse, so only the mtime tells
+        old, new = "x,y\n1.5,a\n2.5,b\n", "x,y\n1.5,a\n2.5,c\n"
+        p = write(tmp_path, old)
+        before = p.stat()
+        real = alselect.data._parse_table
+
+        def rewrite_around_parse(*args):
+            p.write_text(new, encoding="utf-8")
+            parsed = real(*args)
+            if how == "written_back":
+                p.write_text(old, encoding="utf-8")
+                mtime = before.st_mtime_ns + 10**9
+            else:
+                mtime = before.st_mtime_ns
+            os.utime(p, ns=(before.st_atime_ns, mtime))
+            return parsed
+
+        with monkeypatch.context() as m:
+            m.setattr(alselect.data, "_parse_table", rewrite_around_parse)
+            with pytest.raises(DataFormatError) as exc:
+                load_csv_cached(p, "y")
+        assert str(exc.value) == f"{p}: file changed while it was read; load it again"
+        assert (p.stat().st_ino, p.stat().st_size) == (before.st_ino, before.st_size)
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_load_csv_only_reads(self, tmp_path):
+        p = write(tmp_path, SIDECAR_TEXTS["plain"])
+        ds = load_csv(p, "y")
+        assert ds.source_sha256 is None
+        assert list(tmp_path.iterdir()) == [p]
+        cached = load_csv_cached(p, "y")
+        assert same_load(ds, dataclasses.replace(cached, source_sha256=None))
 
 
 class TestDataset:
