@@ -264,8 +264,8 @@ class SynthPocketSpec:
                           ("pool_prevalence", self.pool_prevalence)):
             if len(vec) != self.k:
                 raise ValueError(f"{name} must have {self.k} entries")
-            if any(p < 0 for p in vec):
-                raise ValueError(f"{name} entries must be >= 0")
+            if not all(0.0 <= p < math.inf for p in vec):  # NaN fails too
+                raise ValueError(f"{name} entries must be finite and >= 0, got {tuple(vec)}")
             if abs(math.fsum(vec) - 1.0) > 1e-9:
                 raise ValueError(f"{name} must sum to 1")
         if not (0 <= self.pocket_class < self.k):
@@ -275,8 +275,10 @@ class SynthPocketSpec:
                 raise ValueError(f"pocket_decoy must be in [0, {self.k})")
             if self.pocket_decoy == self.pocket_class:
                 raise ValueError("pocket_decoy must differ from pocket_class")
-        if self.separation <= 0:
-            raise ValueError(f"separation must be > 0, got {self.separation}")
+        if not (0.0 < self.separation < math.inf):  # NaN fails too
+            raise ValueError(f"separation must be finite and > 0, got {self.separation}")
+        if not math.isfinite(self.pocket_offset):
+            raise ValueError(f"pocket_offset must be finite, got {self.pocket_offset}")
         if not (0.0 <= self.overlap_fraction < 1.0):
             raise ValueError(f"overlap_fraction must be in [0, 1), got {self.overlap_fraction}")
         if self.seed < 0:
@@ -403,13 +405,11 @@ def validate_lemma(spec: SynthPocketSpec, chi: float, delta: float,
     n_s-th smallest key. That is exact, ties included: the pocket holds the
     smallest positions, and a tie at the n_s-th key goes to the smaller
     position. The hits are those of one `select_positions` call per repeat
-    on the same stream, unless a uniform is exactly 0 (probability 2**-53
-    per draw): it is redrawn after its block rather than after its repeat,
-    so later draws shift. With `equal_weights`
-    the pocket carries ln k too, so the n_s items are a uniform draw
-    without replacement and the exact hit rate is 1 - C(n-m, n_s)/C(n, n_s)
-    for an m-item pocket (1 - (1-beta)^n_s only approximates it, as if the
-    draws were independent).
+    on the same stream. With `equal_weights` the pocket carries ln k too,
+    so the n_s items are a uniform draw without replacement and the exact
+    hit rate is 1 - C(n-m, n_s)/C(n, n_s) for an m-item pocket
+    (1 - (1-beta)^n_s only approximates it, as if the draws were
+    independent).
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")

@@ -61,16 +61,16 @@ class RngState:
         return RngState(self.seed, self.path + tuple(int(k) for k in keys))
 
     def uniforms_open(self, size: int) -> np.ndarray:
-        """Block of doubles in the open interval (0, 1); zero hits are
-        redrawn in place, after the whole block. Consecutive blocks read one
+        """Block of `size` doubles in the open interval (0, 1): multiples of
+        2**-53, a drawn 0.0 read as 2**-53. Each value depends only on the
+        double drawn at its position, and consecutive blocks read one
         stream, so one block of `rows * n` doubles equals `rows` blocks of
-        `n` (and `size` one-element blocks) unless a zero is redrawn, which
-        happens with probability 2**-53 per double. `harness.validate_lemma`
-        relies on this: it reads its repeats' uniforms a block of rows at a
-        time and gets the hits of one `select_positions` call per repeat."""
+        `n` (and `size` one-element blocks). `harness.validate_lemma` relies
+        on this: it reads its repeats' uniforms a block of rows at a time
+        and gets the hits of one `select_positions` call per repeat."""
         arr = self._gen.random(size)
-        while n_zero := size - np.count_nonzero(arr):
-            arr[arr == 0.0] = self._gen.random(n_zero)
+        if np.count_nonzero(arr) < size:
+            arr[arr == 0.0] = 2.0**-53
         return arr
 
     def integers(self, high: int) -> int:
@@ -132,10 +132,7 @@ def select_positions(log_weights, k: int, rng: RngState) -> set[int]:
     One merge over the whole array: `select_top_k(enumerate(w), k, rng)`
     draws the same keys and the same set from an equal rng as
     `select_positions(np.log(w), k, rng)`. Both draw one uniform per item in
-    order, and one block reads the stream as its chunks do. The one
-    exception is a uniform that is exactly zero (probability 2**-53 per
-    draw): it is redrawn after the whole array rather than after its chunk,
-    so later draws shift.
+    order, and one block reads the stream as its chunks do.
     """
     log_w = np.asarray(log_weights, dtype=np.float64)
     return _sample(np.arange(log_w.size), log_w, k, rng)

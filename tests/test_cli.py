@@ -141,6 +141,23 @@ class TestSynth:
         assert err == f"error: {flag} must be comma-separated numbers or 'uniform', got 'a,b,c'\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--pool-prevalence", "nan,0.5,0.5", "pool_prevalence"),
+        ("--pool-prevalence", "inf,0.5,0.5", "pool_prevalence"),
+        ("--train-prevalence", "0.5,0.5,nan", "train_prevalence"),
+        ("--separation", "inf", "separation"),
+        ("--separation", "nan", "separation"),
+        ("--pocket-offset", "nan", "pocket_offset"),
+        ("--pocket-offset", "-inf", "pocket_offset"),
+    ])
+    def test_non_finite_spec_value_names_field(self, capsys, tmp_path, flag, value, field):
+        rc, out, err = run_cli(capsys, "synth", "--n", "900", "--d", "4", "--k", "3",
+                               "--beta", "0.05", f"{flag}={value}", "--out", str(tmp_path / "x.csv"))
+        assert rc == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith(f"error: {field} ") and "must be finite" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("existing", ["x.csv", "x.csv.pocket.json"])
     def test_existing_output_is_config_error(self, capsys, tmp_path, monkeypatch, existing):
         (tmp_path / existing).write_text("keep\n", encoding="utf-8")

@@ -479,6 +479,16 @@ class TestGeneratePocketDataset:
             small_spec(pocket_decoy=1)  # same as pocket_class
         with pytest.raises(ValueError):
             small_spec(beta=1.5)
+        # NaN passes `p < 0` and `sum != 1` tests, and inf passes `> 0` ones
+        for bad in (math.nan, math.inf):
+            for field in ("train_prevalence", "pool_prevalence"):
+                with pytest.raises(ValueError, match=f"^{field} entries must be finite and >= 0"):
+                    small_spec(**{field: (bad, 0.5, 0.5)})
+            with pytest.raises(ValueError, match="^separation must be finite and > 0"):
+                small_spec(separation=bad)
+            for offset in (bad, -bad):
+                with pytest.raises(ValueError, match="^pocket_offset must be finite"):
+                    small_spec(pocket_offset=offset)
 
 
 class TestValidateLemma:

@@ -63,29 +63,52 @@ class TestRngState:
         with pytest.raises(ValueError):
             RngState(-1)
 
-    def test_zero_draws_redrawn_in_place(self):
-        # zeros at known positions: each pass redraws exactly the zeros
-        # left, in position order, from the same stream
-        class ScriptedGen:
-            def __init__(self, values):
-                self.values = list(values)
-                self.sizes = []
-
-            def random(self, size):
-                self.sizes.append(size)
-                out, self.values = self.values[:size], self.values[size:]
-                return np.array(out)
-
+    @pytest.mark.parametrize("sizes", [[6], [2, 4], [1] * 6])
+    def test_zero_draws_read_as_2_pow_minus_53_in_any_split(self, sizes):
+        # each value depends only on the double drawn at its position, so
+        # every split of a block reads the same 6 doubles and returns the same
+        # values, and the next draw reads the same double after every split
         r = RngState(0)
-        r._gen = ScriptedGen([0.5, 0.0, 0.25, 0.0, 0.0, 0.75,   # first block
-                              0.125, 0.0, 0.375,                # redraw of positions 1, 3, 4
-                              0.0,                              # redraw of position 3
-                              0.625,                            # redraw of position 3
-                              0.875])                           # next block
-        assert r.uniforms_open(6).tolist() == [0.5, 0.125, 0.25, 0.625, 0.375, 0.75]
-        assert r._gen.sizes == [6, 3, 1, 1]
+        r._gen = ScriptedGen([0.5, 0.0, 0.25, 0.0, 0.0, 0.75, 0.875])
+        block = np.concatenate([r.uniforms_open(size) for size in sizes])
+        assert block.tolist() == [0.5, 2.0**-53, 0.25, 2.0**-53, 2.0**-53, 0.75]
+        assert r._gen.sizes == sizes
         assert r.uniforms_open(1).tolist() == [0.875]
-        assert r._gen.sizes == [6, 3, 1, 1, 1]
+
+    def test_zero_draw_in_first_chunk_keeps_positions_and_chunks_equal(self):
+        # a 0.0 at position 0 of the first chunk; the double after the first
+        # chunk would win if the zero took it, and the last double, one past
+        # the array, would win if it took that one
+        n = _CHUNK + 3
+        script = [0.5] * (n + 1)
+        script[0], script[_CHUNK], script[n] = 0.0, 0.9, 0.95
+        w = np.ones(n)
+        picks, reads = [], []
+        for draw in (lambda rng: select_positions(np.log(w), 1, rng),
+                     lambda rng: select_top_k(enumerate(w), 1, rng)):
+            rng = RngState(0)
+            rng._gen = ScriptedGen(script)
+            picks.append(draw(rng))
+            reads.append(sum(rng._gen.sizes))
+        assert picks == [{_CHUNK}, {_CHUNK}]
+        assert reads == [n, n]
+
+
+class ScriptedGen:
+    """A generator stand-in that hands out a fixed script of doubles in
+    order and records the size of each request; a request past the end of
+    the script fails."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.sizes = []
+
+    def random(self, size):
+        if size > len(self.values):
+            raise AssertionError(f"{size} doubles requested, {len(self.values)} left in the script")
+        self.sizes.append(size)
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out, dtype=np.float64)
 
 
 def oracle_select_top_k(stream, k, rng, stats=None):
