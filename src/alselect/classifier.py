@@ -5,11 +5,12 @@ start), fixed iteration order, no randomness anywhere. The bias is a
 constant-one feature column and is excluded from the L2 penalty so the
 lambda->inf limit predicts exactly the uniform distribution.
 
-`design` is the one way to build a design matrix: feature rows with a
-constant-one bias column appended, shape (n, d+1). `fit` takes raw feature
+A design matrix is feature rows with a constant-one bias column
+appended, shape (n, d+1); `design` builds one. `fit` takes raw feature
 rows and builds its own design; `predict_proba_matrix`, `accuracy` and
 `strategies.score_pool` take rows of a design the caller built once
-(`harness.run_trial` builds one per trial and gathers its rows per call).
+(`harness.run_trial` fills one per trial with the standardized features
+and gathers its rows per call).
 
 Probabilities are held class-major, shape (k, n): the softmax reduces
 down axis 0, k elementwise passes over contiguous rows of n, rather than
@@ -83,7 +84,8 @@ def design(features) -> np.ndarray:
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
     """Column-wise softmax of a class-major (k, n) score matrix."""
-    p = np.exp(scores - scores.max(axis=0))
+    p = scores - scores.max(axis=0)
+    np.exp(p, out=p)
     p /= p.sum(axis=0)
     return p
 

@@ -360,22 +360,52 @@ class StandardizationParams:
         object.__setattr__(self, "stds", stds)
 
 
-def standardize_fit(features) -> StandardizationParams:
-    """Column means/stds from the fitting rows only (fit once, freeze)."""
+def standardize_fit(features, names=None) -> StandardizationParams:
+    """Column means/stds from the fitting rows only (fit once, freeze).
+
+    Raises DataFormatError naming the first column whose mean or std is not
+    finite (huge finite features overflow the sums); `names` gives the
+    columns' names, else they are named by index. Nothing warns on the way.
+    """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("need at least one fitting row")
-    means = X.mean(axis=0)
-    stds = X.std(axis=0)  # population divisor
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = X.mean(axis=0)
+        stds = X.std(axis=0)  # population divisor
+    bad = ~(np.isfinite(means) & np.isfinite(stds))
+    if bad.any():
+        raise DataFormatError(f"{_column(bad, names)}: the mean or std over the fitting rows "
+                              "is not finite; the features are too large to standardize")
     stds = np.where(stds == 0.0, 1.0, stds)
     return StandardizationParams(means=means, stds=stds)
 
 
-def standardize_apply(params: StandardizationParams, features, out=None) -> np.ndarray:
+def standardize_apply(params: StandardizationParams, features, out=None,
+                      names=None) -> np.ndarray:
     """(x - mean) / std per column, into `out` if given (which may be
-    `features` itself); element by element, so the bits do not depend on it."""
+    `features` itself, or the feature columns of a design matrix); element
+    by element, so the bits do not depend on it.
+
+    Raises DataFormatError naming the first column (`names` as in
+    `standardize_fit`) with a standardized value that is not finite.
+    Finite features, means and stds can only overflow here, so the check
+    is numpy's overflow flag, not a pass over the result.
+    """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.means.shape[0]:
         raise ValueError(f"feature shape {X.shape} does not match params")
-    out = np.subtract(X, params.means, out=out)
-    return np.divide(out, params.stds, out=out)
+    overflows = []
+    with np.errstate(over="call", call=lambda kind, flag: overflows.append(kind)):
+        out = np.subtract(X, params.means, out=out)
+        np.divide(out, params.stds, out=out)
+    if overflows:
+        raise DataFormatError(f"{_column(~np.isfinite(out).all(axis=0), names)}: a standardized "
+                              "value is not finite; the features are too large to standardize")
+    return out
+
+
+def _column(bad: np.ndarray, names) -> str:
+    """The first column flagged in `bad`, by name if `names` are given."""
+    j = int(np.flatnonzero(bad)[0])
+    return f"feature column {names[j]!r}" if names is not None else f"feature column {j}"

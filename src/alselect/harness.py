@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classifier import FitConfig, accuracy, design, fit
+from .classifier import FitConfig, accuracy, fit
 from .data import Dataset, standardize_apply, standardize_fit
 from .errors import ConfigError
 from .probs import LemmaBoundInput, LemmaBoundReport, lemma_bound
@@ -119,12 +119,17 @@ def holdout_ids(n: int, cfg: ExperimentConfig) -> set[int]:
 def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list[RoundRecord]:
     """One independent trial: shared holdout split, equal-prevalence init,
     then `rounds` iterations of score -> select -> reveal labels -> refit.
+    Only a strategy that reads scores (`StrategyConfig.reads_scores`)
+    scores the pool; Random, and Weighted at d = 0, draw from the pool size
+    alone.
 
     The round-0 record is the pre-query baseline (the classifier fit on the
     initial labeled set). Standardization is fit on the initial labeled
-    rows only and frozen for the whole trial. The standardized rows get
-    their bias column once, in one design matrix for the trial: pool
-    scoring and holdout accuracy gather its rows each round, and `fit`
+    rows only and frozen for the whole trial; features too large to
+    standardize raise DataFormatError before any fit. The standardized
+    rows and their bias column are written once, into one design matrix
+    for the trial: the holdout's rows are gathered from it once, pool
+    scoring gathers the pool's rows each round it scores, and `fit`
     gathers its feature columns. The oracle is the dataset's
     ground truth. Round 0's fit starts from zero weights; every later round
     warm-starts from the previous round's model, so no state crosses trials.
@@ -159,14 +164,17 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
     init_pos = biased_init(dataset.labels[remaining], cfg.n0, dataset.k, init_rng)
     state[remaining[list(init_pos)]] = _ROW_LABELED
 
-    std = standardize_fit(dataset.features[state == _ROW_LABELED])
-    # one design matrix for the trial; Z, its feature columns, is a view of it,
-    # standardized in place so no standardized copy of the features lives
-    # beside it. Each call gathers its rows: a product over every row, sliced
+    names = dataset.feature_names
+    std = standardize_fit(dataset.features[state == _ROW_LABELED], names=names)
+    # one design matrix for the trial, filled once: the standardized features
+    # are written straight into its feature columns Z, then the bias column is
+    # set. Each call gathers its rows: a product over every row, sliced
     # afterwards, would round differently from the product over just the rows
     # gathered
-    Xa = design(dataset.features)
-    Z = standardize_apply(std, Xa[:, :-1], out=Xa[:, :-1])
+    Xa = np.empty((n, dataset.d + 1))
+    Z = standardize_apply(std, dataset.features, out=Xa[:, :-1], names=names)
+    Xa[:, -1] = 1.0
+    hold_X, hold_y = Xa[hold_idx], dataset.labels[hold_idx]
 
     records: list[RoundRecord] = []
     model = None
@@ -176,8 +184,11 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
         try:
             if r:
                 pool_idx = np.flatnonzero(state == _ROW_POOL)
-                scores = score_pool(model, Xa[pool_idx], cfg.strategy)
-                pos = np.fromiter(select_batch(cfg.strategy, scores, cfg.batch, select_rng),
+                if cfg.strategy.reads_scores:
+                    pool = score_pool(model, np.take(Xa, pool_idx, axis=0), cfg.strategy)
+                else:
+                    pool = len(pool_idx)
+                pos = np.fromiter(select_batch(cfg.strategy, pool, cfg.batch, select_rng),
                                   dtype=np.int64)
                 distinct = len(np.unique(pos))
                 if len(pos) != cfg.batch or distinct != cfg.batch:
@@ -191,7 +202,7 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
 
             lab_idx = np.flatnonzero(state == _ROW_LABELED)
             model = fit(Z[lab_idx], dataset.labels[lab_idx], dataset.k, cfg.fit, init=model)
-            acc = accuracy(model, Xa[hold_idx], dataset.labels[hold_idx])
+            acc = accuracy(model, hold_X, hold_y)
         except Exception as exc:
             exc.add_note(f"in trial {trial_index}, round {r}")
             raise

@@ -14,7 +14,9 @@ weight 0 (the keys ln(-ln a) are then i.i.d., so the top K is a uniform
 K-subset), and `select_top_k` once per chunk of an (id, weight) stream. It
 merges a block into the retained items by one `lexsort`, after a
 `partition` has dropped every key above the K-th best when the merge holds
-many more than K candidates. The second is `harness.validate_lemma`, which
+many more than K candidates; when exactly K keys are left, no key ties
+the K-th best and the partition alone has found the K best, so nothing is
+sorted. The second is `harness.validate_lemma`, which
 needs only whether a draw hits a pocket of the smallest positions: it keys
 a block of repeats at once, one row per repeat, and counts a hit when the
 smallest pocket key is at most the row's K-th smallest key (a tie at the
@@ -108,8 +110,8 @@ def _merge(kept_ids, kept_keys, ids: np.ndarray, log_w: np.ndarray, k: int,
     """Merge one block of ids and finite log weights into the retained items.
 
     Draws one uniform a per item and returns at most K (id, key) pairs, key
-    ln(-ln a) - l: the best of the retained ones and the block, ranked by
-    (key, id) ascending.
+    ln(-ln a) - l: the K best of the retained ones and the block by (key, id)
+    ascending, in no particular order.
     """
     keys = gumbel_keys(rng.uniforms_open(len(log_w)), log_w)
     if kept_ids is not None:
@@ -117,8 +119,11 @@ def _merge(kept_ids, kept_keys, ids: np.ndarray, log_w: np.ndarray, k: int,
         keys = np.concatenate((kept_keys, keys))
     if len(ids) > k:
         if len(ids) - k > _PARTITION_SURPLUS:
-            # every key tied with the K-th best goes on, so the sort decides ties
+            # every key tied with the K-th best goes on, so the sort decides ties;
+            # with no tie exactly K keys reach it and they are the K best
             cand = np.flatnonzero(keys <= np.partition(keys, k - 1)[k - 1])
+            if len(cand) == k:
+                return ids[cand], keys[cand]
             ids, keys = ids[cand], keys[cand]
         best = np.lexsort((ids, keys))[:k]
         ids, keys = ids[best], keys[best]

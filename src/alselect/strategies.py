@@ -56,24 +56,39 @@ class StrategyConfig:
         if self.exponent_d < 0.0 or not math.isfinite(self.exponent_d):
             raise ValueError(f"exponent_d must be finite and >= 0, got {self.exponent_d}")
 
+    @property
+    def reads_scores(self) -> bool:
+        """Whether the draw depends on the pool's scores: False for RANDOM
+        and for WEIGHTED at d = 0, which is RANDOM's draw."""
+        return self.kind is not StrategyKind.RANDOM and not (
+            self.kind is StrategyKind.WEIGHTED and self.exponent_d == 0.0)
+
 
 def score_pool(model: ModelParams, pool_rows, cfg: StrategyConfig) -> np.ndarray:
     """Smoothed predictive entropy (nats) for every pool row, one pass, from
     the pool's rows of a design matrix (`classifier.design`).
 
     For each row: r = softmax(Wx), v = (1-chi)r + chi/k, u = H(v). The
-    probabilities are held class-major, shape (k, n), and the entropy sums
-    down axis 0.
+    probabilities are held class-major, shape (k, n), smoothed in place,
+    and the entropy sums down axis 0.
     """
-    P = predict_proba_matrix(model, pool_rows).T
-    k = P.shape[0]
-    V = (1.0 - cfg.chi) * P + cfg.chi / k
-    return -(V * np.log(V)).sum(axis=0)
+    V = predict_proba_matrix(model, pool_rows).T
+    V *= 1.0 - cfg.chi
+    V += cfg.chi / V.shape[0]
+    H = np.log(V)
+    H *= V
+    return -H.sum(axis=0)
 
 
-def select_batch(cfg: StrategyConfig, scores: np.ndarray, b: int,
+def select_batch(cfg: StrategyConfig, scores: np.ndarray | int, b: int,
                  rng: RngState) -> set[int]:
-    """B distinct positions into `scores` under the configured strategy.
+    """B distinct positions into the pool under the configured strategy.
+
+    `scores` holds one score per pool position. A config that reads no
+    scores (`cfg.reads_scores` is False) may be given the pool size
+    instead, so the pool need not be scored; it draws the same positions
+    from an equal rng either way, and an array given to it is checked all
+    the same.
 
     Greedy ranks by descending score, ties toward the smaller position.
     eps-Greedy's greedy slots take Greedy's top B in that order, skipping
@@ -82,20 +97,27 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray, b: int,
     whole pool's ranking. Weighted hands the sampler the log weights
     d*ln(score) (`select_positions`), one merge over all positions in a
     single pass, with no normaliser and no per-item (id, weight) stream;
-    Random is that merge at log weight 0.
+    Random, and Weighted at d = 0, is that merge at log weight 0
+    (`uniform_sample`).
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    # argmin/argmax return the first NaN, so NaN fails; an empty array passes
-    if scores.ndim != 1 or (scores.size and not (
-            scores[scores.argmin()] > 0.0 and scores[scores.argmax()] < math.inf)):
-        raise ValueError("scores must be positive and finite (smoothing floor)")
+    if isinstance(scores, (int, np.integer)):
+        if cfg.reads_scores:
+            raise TypeError(f"{cfg.kind.value} reads the pool's scores, not only its size")
+        n = int(scores)
+    else:
+        scores = np.asarray(scores, dtype=np.float64)
+        # argmin/argmax return the first NaN, so NaN fails; an empty array passes
+        if scores.ndim != 1 or (scores.size and not (
+                scores[scores.argmin()] > 0.0 and scores[scores.argmax()] < math.inf)):
+            raise ValueError("scores must be positive and finite (smoothing floor)")
+        n = len(scores)
     if b < 1:
         raise ValueError(f"B must be >= 1, got {b}")
-    if len(scores) < b:
-        raise ValueError(f"requested {b} items but only {len(scores)} available")
+    if n < b:
+        raise ValueError(f"requested {b} items but only {n} available")
 
-    if cfg.kind is StrategyKind.RANDOM:
-        return uniform_sample(np.arange(len(scores)), b, rng)
+    if not cfg.reads_scores:
+        return uniform_sample(np.arange(n), b, rng)
 
     if cfg.kind is StrategyKind.WEIGHTED:
         # clamping d at 2**996 changes no selection: a power of two scales ln u
@@ -112,7 +134,6 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray, b: int,
     # taken[i], so taken[i] comes before the j-th free position exactly when
     # that is <= j. A greedy slot skips only positions taken before it, so
     # the b best positions always hold one that is free.
-    n = len(scores)
     best = _best(scores, b).tolist()
     taken: list[int] = []  # positions taken so far, ascending
     chosen: set[int] = set()

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -328,6 +329,25 @@ class TestRun:
         assert err == f"error: {csv_path}: row 0: field larger than field limit (131072)\n"
         assert not (tmp_path / "o").exists()
 
+    def test_features_too_large_to_standardize_are_data_error(self, capsys, tmp_path,
+                                                              monkeypatch):
+        # synth writes finite features of 7.07e307 at this separation; their
+        # sums overflow, which used to crash the run with exit 4
+        out = tmp_path / "huge.csv"
+        rc, _, err = run_cli(capsys, "synth", "--n", "900", "--d", "4", "--k", "3", "--beta",
+                             "0.05", "--separation", "1e308", "--seed", "2", "--out", str(out))
+        assert rc == EXIT_OK, err
+        monkeypatch.setattr(harness, "fit", lambda *args, **kwargs: pytest.fail("fit ran"))
+        cfg = write_config(tmp_path, out, tmp_path / "o", rounds=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, stdout, err = run_cli(capsys, "run", str(cfg))
+        assert rc == EXIT_DATA
+        assert stdout == ""
+        assert err == ("error: feature column 'f0': the mean or std over the fitting rows is "
+                       "not finite; the features are too large to standardize\n")
+        assert not (tmp_path / "o").exists()
+
     def test_one_label_csv_is_data_error(self, capsys, tmp_path):
         csv_path = tmp_path / "one.csv"
         csv_path.write_text("x,label\n" + "".join(f"{i}.0,a\n" for i in range(50)),
@@ -429,6 +449,27 @@ class TestRun:
         assert rc1 == rc2 == EXIT_OK
         assert (out1 / "records.jsonl").read_bytes() == (out2 / "records.jsonl").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+    @pytest.mark.parametrize("strategy, overrides, digest", [
+        ("random", {}, "94dea2c763d535466a34bd3c20cafa3c53db19fbd03828da343a86a79ad7f299"),
+        ("greedy", {}, "97ba86e376ff7154c2b1e10a05c6c199c1ba4547b9f3bb49eaa97d9031eda12f"),
+        ("eps_greedy", {}, "afcc48dadec6c38b8818a3b227ba05e71387539d93d930a141e488bef95ab3fb"),
+        ("weighted", {}, "d4e94ae7d9edf8b70c09b346ff2cb73d01f283884d163c7aec5b8e6c5f37073e"),
+        # Random is the weighted draw at d = 0, byte for byte
+        ("weighted", {"exponent_d": 0},
+         "94dea2c763d535466a34bd3c20cafa3c53db19fbd03828da343a86a79ad7f299"),
+    ])
+    def test_records_bytes_pinned(self, capsys, tmp_path, strategy, overrides, digest):
+        # a run's records are part of the reproducibility contract: a faster
+        # trial must write exactly these bytes. 1200 rows make the holdout
+        # draw (K = 240) and every pool draw take the merge's partition branch
+        csv_path = make_synth(capsys, tmp_path, n=1200)
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path, csv_path, out_dir, strategy=strategy,
+                           holdout_fraction=0.2, **overrides)
+        rc, _, err = run_cli(capsys, "run", str(cfg))
+        assert rc == EXIT_OK, err
+        assert hashlib.sha256((out_dir / "records.jsonl").read_bytes()).hexdigest() == digest
 
     def test_warm_run_reads_the_sidecar(self, capsys, tmp_path, monkeypatch):
         # the first run parses the CSV and writes its sidecar; the second

@@ -721,6 +721,45 @@ class TestStandardize:
         assert (Xa[:, -1] == 1.0).all()
         assert copy.tobytes() == ((X - params.means) / params.stds).tobytes()
 
+    def test_out_from_raw_features_into_design_columns(self):
+        # the trial's fill: raw features in, the design's feature columns out
+        X = np.random.default_rng(3).normal(5.0, 3.0, size=(300, 4))
+        params = standardize_fit(X[:40])
+        Xa = np.empty((300, 5))
+        out = standardize_apply(params, X, out=Xa[:, :-1])
+        assert out.base is Xa
+        assert Xa[:, :-1].tobytes() == standardize_apply(params, X).tobytes()
+
+    @pytest.mark.parametrize("column, rows", [
+        (1, [[0.0, 1e308, 0.0], [0.0, 1e308, 0.0]]),       # the mean's sum overflows
+        (2, [[0.0, 0.0, 1e200], [0.0, 1.0, -1e200]]),      # the std's squares overflow
+        (0, [[-1e308, 0.0, 1e200], [1e308, 0.0, -1e200]]),  # both: the first column is named
+    ])
+    def test_fit_refuses_non_finite_mean_or_std(self, column, rows):
+        names = ("a", "b", "c")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match=f"^feature column '{names[column]}': "
+                                                      "the mean or std .* not finite"):
+                standardize_fit(np.array(rows), names=names)
+            with pytest.raises(DataFormatError, match=f"^feature column {column}: "):
+                standardize_fit(np.array(rows))
+
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_apply_refuses_non_finite_values(self, strided):
+        # column 2 overflows only in the divide, column 1 already in the subtract
+        params = StandardizationParams(means=np.array([0.0, -1e308, 0.0]),
+                                       stds=np.array([1.0, 1.0, 1e-10]))
+        X = np.array([[1.0, 1.0, 1.0], [1.0, 1e308, 1e300]])
+        out = np.empty((2, 4))[:, :-1] if strided else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="^feature column 'b': a standardized value"):
+                standardize_apply(params, X, out=out, names=("a", "b", "c"))
+            with pytest.raises(DataFormatError, match="^feature column 2: a standardized value"):
+                standardize_apply(params, X[:1] + [0.0, 0.0, 1e300],
+                                  out=None if out is None else out[:1])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             standardize_fit(np.zeros((0, 2)))

@@ -213,10 +213,11 @@ class TestRunTrial:
             if len(batches) == 1:
                 return batches[0]
             pos = sorted(batches[-1])
+            n = scores if isinstance(scores, int) else len(scores)  # Random passes the pool size
             return {
                 "short": set(pos[1:]),
                 "repeat": pos[1:] + [pos[1]],
-                "id_n": set(pos[1:]) | {len(scores)},
+                "id_n": set(pos[1:]) | {n},
                 "negative": set(pos[1:]) | {-1},
             }[case]
 
@@ -248,26 +249,52 @@ class TestRunTrial:
             pool = pool[cfg.batch:]
 
     def test_design_standardized_in_place(self, monkeypatch):
-        # run_trial standardizes the design's feature columns in place, with
-        # the bits of a standardized copy, and leaves the dataset as it was
+        # run_trial writes the standardized features straight into the feature
+        # columns of the trial's design, with the bits of a standardized copy,
+        # sets its bias column, and leaves the dataset as it was
         dataset, _ = generate_pocket_dataset(small_spec())
         raw = dataset.features.copy()
         real = harness.standardize_apply
         calls = []
 
-        def spy(params, features, out=None):
+        def spy(params, features, out=None, names=None):
             expected = real(params, dataset.features)
-            result = real(params, features, out=out)
+            result = real(params, features, out=out, names=names)
             calls.append((features, out, result, expected))
             return result
 
         monkeypatch.setattr(harness, "standardize_apply", spy)
         run_trial(dataset, small_config(), 0)
         [(features, out, result, expected)] = calls
-        assert result is out and np.shares_memory(out, features)
-        assert result.shape == dataset.features.shape
+        design_matrix = out.base
+        assert result is out and features is dataset.features
+        assert design_matrix.shape == (dataset.n, dataset.d + 1)
+        assert np.shares_memory(out, design_matrix) and not np.shares_memory(out, features)
         assert result.tobytes() == expected.tobytes()
+        assert design_matrix[:, :-1].tobytes() == expected.tobytes()
+        assert (design_matrix[:, -1] == 1.0).all()
         assert dataset.features.tobytes() == raw.tobytes()
+
+    @pytest.mark.parametrize("kind, d, scored", [
+        (StrategyKind.RANDOM, 1.0, False), (StrategyKind.WEIGHTED, 0.0, False),
+        (StrategyKind.GREEDY, 1.0, True), (StrategyKind.EPS_GREEDY, 1.0, True),
+        (StrategyKind.WEIGHTED, 1.0, True)])
+    def test_scores_pool_only_when_the_draw_reads_scores(self, monkeypatch, kind, d, scored):
+        # a scoring strategy scores the whole current pool once a round; Random
+        # and Weighted at d=0 never score it
+        dataset, _ = generate_pocket_dataset(small_spec())
+        cfg = small_config(strategy=StrategyConfig(kind=kind, chi=0.1, exponent_d=d))
+        real = harness.score_pool
+        rows = []
+
+        def spy(model, pool_rows, strategy):
+            rows.append(len(pool_rows))
+            return real(model, pool_rows, strategy)
+
+        monkeypatch.setattr(harness, "score_pool", spy)
+        run_trial(dataset, cfg, 0)
+        pool = dataset.n - int(cfg.holdout_fraction * dataset.n) - cfg.n0
+        assert rows == ([pool - r * cfg.batch for r in range(cfg.rounds)] if scored else [])
 
     def test_fit_warm_starts_from_previous_round(self, monkeypatch):
         dataset, _ = generate_pocket_dataset(small_spec())

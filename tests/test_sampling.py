@@ -420,6 +420,51 @@ class TestSelectPositions:
             select_positions(np.ones((3, 2)), 1, RngState(0))
 
 
+class TestMergeExactK:
+    """The merge's partition branch returns the partition's candidates
+    unsorted when exactly K keys reach the K-th best, and sorts only when a
+    key ties it. One merge over n = 2000 > K + _PARTITION_SURPLUS items."""
+
+    N, K = 2000, 40
+
+    def draw_both(self, monkeypatch, w, seed):
+        """select_positions' set and the number of lexsorts it ran, and the
+        full-sort oracle's set, from equal rngs."""
+        real_lexsort, sorts = np.lexsort, []
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or real_lexsort(keys))
+        got = select_positions(np.log(w), self.K, RngState(seed))
+        monkeypatch.setattr(np, "lexsort", real_lexsort)
+        return got, len(sorts), oracle_select_top_k(enumerate(w.tolist()), self.K, RngState(seed))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_no_tie_returns_the_partition_unsorted(self, monkeypatch, seed):
+        w = np.random.default_rng(seed).uniform(0.5, 2.0, self.N)
+        got, sorts, oracle = self.draw_both(monkeypatch, w, seed)
+        assert sorts == 0
+        assert got == oracle
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_tie_at_kth_key_sorts_and_goes_to_smaller_id(self, monkeypatch, seed):
+        # at equal weights the keys ln(-ln a) ascend as the uniforms a descend;
+        # each draw gives the item ranked K+1 the uniform of the item ranked K
+        real_uniforms, tied = RngState.uniforms_open, []
+
+        def repeat_kth(rng, size):
+            a = real_uniforms(rng, size)
+            order = np.argsort(-a, kind="stable")
+            a[order[self.K]] = a[order[self.K - 1]]
+            tied.append(sorted(order[self.K - 1:self.K + 1].tolist()))
+            return a
+
+        monkeypatch.setattr(RngState, "uniforms_open", repeat_kth)
+        got, sorts, oracle = self.draw_both(monkeypatch, np.ones(self.N), seed)
+        [(smaller, larger), same] = tied
+        assert same == [smaller, larger]
+        assert sorts == 1
+        assert got == oracle
+        assert smaller in got and larger not in got
+
+
 def assert_one_in_eight_frequencies(counts):
     """Items 0-3 at one weight and item 4 at four times it: each count
     within 4.5 binomial SE of 1/8, 1/8, 1/8, 1/8, 1/2 of all draws."""

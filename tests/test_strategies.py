@@ -349,6 +349,40 @@ class TestRandomStrategy:
         assert results[0] == results[1]
 
 
+class TestPoolSizeInsteadOfScores:
+    """A config that reads no scores draws from the pool size alone."""
+
+    NO_SCORES = [StrategyConfig(kind=StrategyKind.RANDOM),
+                 StrategyConfig(kind=StrategyKind.WEIGHTED, exponent_d=0.0)]
+
+    def test_reads_scores(self):
+        assert [cfg.reads_scores for cfg in self.NO_SCORES] == [False, False]
+        for kind in (StrategyKind.GREEDY, StrategyKind.EPS_GREEDY, StrategyKind.WEIGHTED):
+            assert StrategyConfig(kind=kind).reads_scores
+        assert StrategyConfig(kind=StrategyKind.WEIGHTED, exponent_d=5e-324).reads_scores
+
+    @pytest.mark.parametrize("cfg", NO_SCORES, ids=["random", "weighted_d0"])
+    @pytest.mark.parametrize("n, b", [(1, 1), (40, 15), (_CHUNK + 600, 30)])
+    def test_same_draw_as_from_scores(self, cfg, n, b):
+        scores = make_scores(np.random.default_rng(n).uniform(0.2, 1.1, n))
+        results = []
+        for pool in (np.int64(n), n, scores):
+            rng = RngState(n, (b,))
+            results.append((select_batch(cfg, pool, b, rng), rng.uniforms_open(1)[0]))
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("cfg", NO_SCORES, ids=["random", "weighted_d0"])
+    def test_pool_smaller_than_batch(self, cfg):
+        with pytest.raises(ValueError, match="requested 3 items but only 2 available"):
+            select_batch(cfg, 2, 3, RngState(0))
+
+    @pytest.mark.parametrize("kind", [StrategyKind.GREEDY, StrategyKind.EPS_GREEDY,
+                                      StrategyKind.WEIGHTED])
+    def test_scoring_strategy_needs_scores(self, kind):
+        with pytest.raises(TypeError, match="reads the pool's scores"):
+            select_batch(StrategyConfig(kind=kind), 40, 5, RngState(0))
+
+
 class TestAllStrategies:
     @pytest.mark.parametrize("kind", list(StrategyKind))
     def test_returns_b_distinct_pool_ids(self, kind):
