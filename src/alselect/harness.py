@@ -22,7 +22,7 @@ from .classifier import FitConfig, accuracy, fit
 from .data import Dataset, standardize_apply, standardize_fit
 from .errors import ConfigError
 from .probs import LemmaBoundInput, LemmaBoundReport, lemma_bound
-from .sampling import _CHUNK, RngState, gumbel_keys, uniform_sample
+from .sampling import RngState, gumbel_keys, uniform_sample
 from .sampling import select_top_k  # noqa: F401  perfbench/tracer.py wraps this name
 from .strategies import StrategyConfig, score_pool, select_batch
 
@@ -32,6 +32,11 @@ _INIT = 1
 _SELECT = 2
 _LEMMA = 3
 _SYNTH = 4
+
+# validate_lemma keys about this many items at once: max(1, BLOCK // n) repeats
+# of an n-item pool per uniforms_open read, a 256 KB block of keys. At n=400
+# this was the fastest power of two from 2**12 to 2**17 (numpy 2.4).
+BLOCK = 2**15
 
 # run_trial's row states: every dataset row is in exactly one part of the split
 _ROW_POOL = 0
@@ -410,13 +415,15 @@ def validate_lemma(spec: SynthPocketSpec, chi: float, delta: float,
     n_s-item draw `select_positions(log_w, n_s, rng)` over the pool's
     log-weight array, and counts whether any pocket item was hit; the
     repeats read one (spec.seed, lemma tag) stream in turn. The draws are
-    not made one by one: a block of max(1, _CHUNK // n) repeats takes one
-    `uniforms_open(rows * n)` read, keyed by `gumbel_keys` with one row per
-    repeat, and a row hits when its smallest pocket key is at most its
-    n_s-th smallest key. That is exact, ties included: the pocket holds the
-    smallest positions, and a tie at the n_s-th key goes to the smaller
-    position. The hits are those of one `select_positions` call per repeat
-    on the same stream. With `equal_weights` the pocket carries ln k too,
+    not made one by one: a block of max(1, BLOCK // n) repeats takes one
+    `uniforms_open(rows * n)` read, keyed in place by `gumbel_keys` with one
+    row per repeat, and a row hits when fewer than n_s of its keys lie
+    strictly below its smallest pocket key b. That is exact, ties included:
+    the pocket holds the smallest positions and a tie goes to the smaller
+    position, so the pocket item keyed b is drawn exactly when fewer than
+    n_s keys rank before it, which is when b is at most the row's n_s-th
+    smallest key. The hits are those of one `select_positions` call per
+    repeat on the same stream. With `equal_weights` the pocket carries ln k too,
     so the n_s items are a uniform draw without replacement and the exact
     hit rate is 1 - C(n-m, n_s)/C(n, n_s) for an m-item pocket
     (1 - (1-beta)^n_s only approximates it, as if the draws were
@@ -442,12 +449,12 @@ def validate_lemma(spec: SynthPocketSpec, chi: float, delta: float,
     hits = 0
     if bound.n_s > 0:
         rng = RngState(spec.seed).derive(_LEMMA)
-        rows = max(1, _CHUNK // spec.n)
+        rows = max(1, BLOCK // spec.n)
         for done in range(0, repeats, rows):
             block = min(rows, repeats - done)
             keys = gumbel_keys(rng.uniforms_open(block * spec.n).reshape(block, spec.n), log_w)
-            kth = np.partition(keys, bound.n_s - 1, axis=1)[:, bound.n_s - 1]
-            hits += int(np.count_nonzero(keys[:, :pocket_m].min(axis=1) <= kth))
+            ahead = np.count_nonzero(keys < keys[:, :pocket_m].min(axis=1)[:, None], axis=1)
+            hits += int(np.count_nonzero(ahead < bound.n_s))
     return LemmaValidationReport(
         bound=bound, repeats=repeats, hits=hits,
         hit_rate=hits / repeats, target=1.0 - delta,

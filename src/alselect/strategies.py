@@ -58,10 +58,12 @@ class StrategyConfig:
 
     @property
     def reads_scores(self) -> bool:
-        """Whether the draw depends on the pool's scores: False for RANDOM
-        and for WEIGHTED at d = 0, which is RANDOM's draw."""
-        return self.kind is not StrategyKind.RANDOM and not (
-            self.kind is StrategyKind.WEIGHTED and self.exponent_d == 0.0)
+        """Whether the draw depends on the pool's scores: False for RANDOM,
+        for WEIGHTED at d = 0, which is RANDOM's draw, and for EPS_GREEDY
+        at epsilon = 1, whose every slot is a uniform pick."""
+        return not (self.kind is StrategyKind.RANDOM
+                    or self.kind is StrategyKind.WEIGHTED and self.exponent_d == 0.0
+                    or self.kind is StrategyKind.EPS_GREEDY and self.epsilon == 1.0)
 
 
 def score_pool(model: ModelParams, pool_rows, cfg: StrategyConfig) -> np.ndarray:
@@ -98,7 +100,9 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray | int, b: int,
     d*ln(score) (`select_positions`), one merge over all positions in a
     single pass, with no normaliser and no per-item (id, weight) stream;
     Random, and Weighted at d = 0, is that merge at log weight 0
-    (`uniform_sample`).
+    (`uniform_sample`). eps-Greedy at epsilon = 1 runs its slot loop from
+    the pool size alone, every slot a uniform pick; it does not take
+    `uniform_sample`, which reads the rng otherwise.
     """
     if isinstance(scores, (int, np.integer)):
         if cfg.reads_scores:
@@ -116,7 +120,7 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray | int, b: int,
     if n < b:
         raise ValueError(f"requested {b} items but only {n} available")
 
-    if not cfg.reads_scores:
+    if not cfg.reads_scores and cfg.kind is not StrategyKind.EPS_GREEDY:
         return uniform_sample(np.arange(n), b, rng)
 
     if cfg.kind is StrategyKind.WEIGHTED:
@@ -133,8 +137,9 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray | int, b: int,
     # position in ascending order. taken[i] - i free positions lie below
     # taken[i], so taken[i] comes before the j-th free position exactly when
     # that is <= j. A greedy slot skips only positions taken before it, so
-    # the b best positions always hold one that is free.
-    best = _best(scores, b).tolist()
+    # the b best positions always hold one that is free. At epsilon = 1 no
+    # slot is greedy (every uniform is below 1), so nothing is ranked.
+    best = _best(scores, b).tolist() if cfg.reads_scores else []
     taken: list[int] = []  # positions taken so far, ascending
     chosen: set[int] = set()
     g = 0  # best[:g] are all taken

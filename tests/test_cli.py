@@ -458,6 +458,9 @@ class TestRun:
         # Random is the weighted draw at d = 0, byte for byte
         ("weighted", {"exponent_d": 0},
          "94dea2c763d535466a34bd3c20cafa3c53db19fbd03828da343a86a79ad7f299"),
+        # every slot a uniform pick, so the pool is never scored
+        ("eps_greedy", {"epsilon": 1},
+         "c387337587ae34937c750a1e75060709d6c2d5c9d001b4a7284dc1792f55c6ca"),
     ])
     def test_records_bytes_pinned(self, capsys, tmp_path, strategy, overrides, digest):
         # a run's records are part of the reproducibility contract: a faster

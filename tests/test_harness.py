@@ -13,10 +13,10 @@ from alselect.classifier import FitConfig, ModelParams, accuracy, design, fit
 from alselect.data import standardize_apply, standardize_fit
 from alselect.errors import ConfigError, VacuousBoundError
 from alselect import cli, harness
-from alselect.harness import (ExperimentConfig, SynthPocketSpec, biased_init,
+from alselect.harness import (BLOCK, ExperimentConfig, SynthPocketSpec, biased_init,
                               generate_pocket_dataset, holdout_ids,
                               run_experiment, run_trial, validate_lemma)
-from alselect.sampling import _CHUNK, RngState, select_positions, select_top_k
+from alselect.sampling import RngState, select_positions, select_top_k
 from alselect.strategies import StrategyConfig, StrategyKind, score_pool
 
 
@@ -278,12 +278,16 @@ class TestRunTrial:
     @pytest.mark.parametrize("kind, d, scored", [
         (StrategyKind.RANDOM, 1.0, False), (StrategyKind.WEIGHTED, 0.0, False),
         (StrategyKind.GREEDY, 1.0, True), (StrategyKind.EPS_GREEDY, 1.0, True),
-        (StrategyKind.WEIGHTED, 1.0, True)])
+        (StrategyKind.WEIGHTED, 1.0, True),
+        pytest.param(StrategyKind.EPS_GREEDY, 1.0, False, id="eps_greedy-epsilon1-False")])
     def test_scores_pool_only_when_the_draw_reads_scores(self, monkeypatch, kind, d, scored):
-        # a scoring strategy scores the whole current pool once a round; Random
-        # and Weighted at d=0 never score it
+        # a scoring strategy scores the whole current pool once a round; Random,
+        # Weighted at d=0 and eps-Greedy at epsilon=1 (every slot a uniform
+        # pick) never score it
         dataset, _ = generate_pocket_dataset(small_spec())
-        cfg = small_config(strategy=StrategyConfig(kind=kind, chi=0.1, exponent_d=d))
+        epsilon = 1.0 if kind is StrategyKind.EPS_GREEDY and not scored else 0.05
+        cfg = small_config(strategy=StrategyConfig(kind=kind, chi=0.1, exponent_d=d,
+                                                   epsilon=epsilon))
         real = harness.score_pool
         rows = []
 
@@ -550,18 +554,21 @@ class TestValidateLemma:
         report = validate_lemma(spec, chi=0.05, delta=0.5, repeats=50)
         assert report.hit_rate == 1.0
 
-    @pytest.mark.parametrize("n", [400, _CHUNK + 904])
+    # 400 and 5000 key several repeats per block (81 and 6 rows), 60 repeats
+    # one short block at n=400; BLOCK + 904 keys one repeat per block
+    @pytest.mark.parametrize("n", [400, 5000, BLOCK + 904])
     @pytest.mark.parametrize("equal_weights", [False, True])
     def test_hits_match_tuple_stream_reference(self, n, equal_weights):
         # the repeats read one (seed, lemma) stream in turn and each draws the
         # set the (id, weight) stream draws from it, so the Monte Carlo's hits
         # are those of the streaming sampler it validates
+        repeats = 60 if n < BLOCK else 20
         for seed in range(3):
             spec = small_spec(n=n, d=10, k=10, beta=0.05,
                               train_prevalence=tuple([0.1] * 10),
                               pool_prevalence=tuple([0.1] * 10),
                               pocket_class=0, seed=seed)
-            report = validate_lemma(spec, chi=0.05, delta=0.9, repeats=60,
+            report = validate_lemma(spec, chi=0.05, delta=0.9, repeats=repeats,
                                     equal_weights=equal_weights)
             m = round(spec.beta * n)
             w = [math.log(10) if equal_weights or i >= m else report.bound.zeta
@@ -569,16 +576,17 @@ class TestValidateLemma:
             rng = RngState(seed).derive(harness._LEMMA)
             hits = sum(
                 any(i < m for i in select_top_k(zip(range(n), w), report.bound.n_s, rng))
-                for _ in range(60))
+                for _ in range(repeats))
             assert report.bound.n_s == 6
             assert report.hits == hits
-            assert 0 < hits < 60
+            assert 0 < hits < repeats
 
-    @pytest.mark.parametrize("n", [400, _CHUNK + 904])
+    @pytest.mark.parametrize("n", [400, 5000, BLOCK + 904])
     @pytest.mark.parametrize("equal_weights", [False, True])
     def test_hit_rule_exact_under_ties(self, monkeypatch, n, equal_weights):
         # uniforms rounded onto {1/4, 1/2, 3/4} make the keys tie by the hundred,
-        # at the n_s-th key too; 97 repeats end on a short block at n=400
+        # at the n_s-th key too; 97 repeats are 81 + 16 rows at n=400 and
+        # 16 * 6 + 1 at n=5000
         class CoarseRng(RngState):
             def derive(self, *keys):
                 return CoarseRng(self.seed, self.path + keys)

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alselect.sampling import (_CHUNK, _PARTITION_SURPLUS, RngState,
-                               SelectionStats, select_positions, select_top_k,
-                               uniform_sample)
+                               SelectionStats, gumbel_keys, select_positions,
+                               select_top_k, uniform_sample)
 
 
 def oracle_generator(*seed_path):
@@ -418,6 +418,23 @@ class TestSelectPositions:
     def test_rejects_2d_weights(self):
         with pytest.raises(ValueError, match="1-D"):
             select_positions(np.ones((3, 2)), 1, RngState(0))
+
+
+class TestGumbelKeys:
+    """`gumbel_keys` writes the keys into the uniforms it is given, with the
+    bits of the expression it replaces."""
+
+    @pytest.mark.parametrize("shape", [(7,), (5, 7)], ids=["1d", "2d_broadcast"])
+    def test_in_place_same_bits(self, shape):
+        u = RngState(3).uniforms_open(math.prod(shape)).reshape(shape)
+        u.flat[[0, -1]] = 2.0**-53, 1.0 - 2.0**-53  # the grid's two ends
+        log_w = np.random.default_rng(4).normal(0.0, 3.0, shape[-1])
+        expected = np.log(-np.log(u)) - log_w
+        out = gumbel_keys(u, log_w)
+        assert out is u
+        assert out.shape == shape
+        assert out.tobytes() == expected.tobytes()
+        assert np.isfinite(out).all()
 
 
 class TestMergeExactK:

@@ -353,15 +353,18 @@ class TestPoolSizeInsteadOfScores:
     """A config that reads no scores draws from the pool size alone."""
 
     NO_SCORES = [StrategyConfig(kind=StrategyKind.RANDOM),
-                 StrategyConfig(kind=StrategyKind.WEIGHTED, exponent_d=0.0)]
+                 StrategyConfig(kind=StrategyKind.WEIGHTED, exponent_d=0.0),
+                 StrategyConfig(kind=StrategyKind.EPS_GREEDY, epsilon=1.0)]
+    IDS = ["random", "weighted_d0", "eps_greedy_eps1"]
 
     def test_reads_scores(self):
-        assert [cfg.reads_scores for cfg in self.NO_SCORES] == [False, False]
+        assert [cfg.reads_scores for cfg in self.NO_SCORES] == [False, False, False]
         for kind in (StrategyKind.GREEDY, StrategyKind.EPS_GREEDY, StrategyKind.WEIGHTED):
             assert StrategyConfig(kind=kind).reads_scores
         assert StrategyConfig(kind=StrategyKind.WEIGHTED, exponent_d=5e-324).reads_scores
+        assert StrategyConfig(kind=StrategyKind.EPS_GREEDY, epsilon=1.0 - 2**-53).reads_scores
 
-    @pytest.mark.parametrize("cfg", NO_SCORES, ids=["random", "weighted_d0"])
+    @pytest.mark.parametrize("cfg", NO_SCORES, ids=IDS)
     @pytest.mark.parametrize("n, b", [(1, 1), (40, 15), (_CHUNK + 600, 30)])
     def test_same_draw_as_from_scores(self, cfg, n, b):
         scores = make_scores(np.random.default_rng(n).uniform(0.2, 1.1, n))
@@ -371,7 +374,7 @@ class TestPoolSizeInsteadOfScores:
             results.append((select_batch(cfg, pool, b, rng), rng.uniforms_open(1)[0]))
         assert results[0] == results[1] == results[2]
 
-    @pytest.mark.parametrize("cfg", NO_SCORES, ids=["random", "weighted_d0"])
+    @pytest.mark.parametrize("cfg", NO_SCORES, ids=IDS)
     def test_pool_smaller_than_batch(self, cfg):
         with pytest.raises(ValueError, match="requested 3 items but only 2 available"):
             select_batch(cfg, 2, 3, RngState(0))
