@@ -7,10 +7,12 @@ lambda->inf limit predicts exactly the uniform distribution.
 
 A design matrix is feature rows with a constant-one bias column
 appended, shape (n, d+1); `design` builds one. `fit` takes raw feature
-rows and builds its own design; `predict_proba_matrix`, `accuracy` and
-`strategies.score_pool` take rows of a design the caller built once
-(`harness.run_trial` fills one per trial with the standardized features
-and gathers its rows per call).
+rows and builds its own design; `predict_proba_matrix` and `accuracy` take
+rows of a design the caller built once, and `strategies.score_pool` takes
+that design and the indices of the rows to score (`harness.run_trial`
+fills one per trial with the standardized features, gathers the holdout's
+rows once, and scores the pool in blocks of rows gathered one at a time,
+no block of which holds 1 row unless the pool does).
 
 Probabilities are held class-major, shape (k, n): the softmax reduces
 down axis 0, k elementwise passes over contiguous rows of n, rather than
@@ -242,10 +244,12 @@ def fit(features, labels, n_classes: int, cfg: FitConfig = FitConfig(),
         else:
             step = np.linalg.lstsq(H, G.ravel(), rcond=None)[0]
         step = -step.reshape(W.shape)
-        slope = float((G * step).sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = float((G * step).sum())
         # a predicted decrease below the loss's rounding cannot register in
-        # the Armijo test, so no step could make progress that shows
-        if -slope <= _EPS * abs(loss):
+        # the Armijo test, so no step could make progress that shows; nor can
+        # an overflowed slope, against which the test rejects every halving
+        if not math.isfinite(slope) or -slope <= _EPS * abs(loss):
             break
         for t in 0.5 ** np.arange(51):
             trial = W + t * step

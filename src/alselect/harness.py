@@ -134,8 +134,9 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
     standardize raise DataFormatError before any fit. The standardized
     rows and their bias column are written once, into one design matrix
     for the trial: the holdout's rows are gathered from it once, pool
-    scoring gathers the pool's rows each round it scores, and `fit`
-    gathers its feature columns. The oracle is the dataset's
+    scoring is handed the design and the pool's row indices and gathers
+    them in blocks of rows (no block holds 1 row unless the pool does), and
+    `fit` gathers its feature columns. The oracle is the dataset's
     ground truth. Round 0's fit starts from zero weights; every later round
     warm-starts from the previous round's model, so no state crosses trials.
 
@@ -175,7 +176,7 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
     # are written straight into its feature columns Z, then the bias column is
     # set. Each call gathers its rows: a product over every row, sliced
     # afterwards, would round differently from the product over just the rows
-    # gathered
+    # gathered; score_pool gathers the pool's in blocks, with the same bits
     Xa = np.empty((n, dataset.d + 1))
     Z = standardize_apply(std, dataset.features, out=Xa[:, :-1], names=names)
     Xa[:, -1] = 1.0
@@ -190,7 +191,7 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
             if r:
                 pool_idx = np.flatnonzero(state == _ROW_POOL)
                 if cfg.strategy.reads_scores:
-                    pool = score_pool(model, np.take(Xa, pool_idx, axis=0), cfg.strategy)
+                    pool = score_pool(model, Xa, pool_idx, cfg.strategy)
                 else:
                     pool = len(pool_idx)
                 pos = np.fromiter(select_batch(cfg.strategy, pool, cfg.batch, select_rng),
@@ -327,15 +328,24 @@ def _cluster_centers(spec: SynthPocketSpec):
         off = np.zeros(spec.d)
         off[spec.k] = 1.0
     else:
-        off = centers[spec.decoy] - centers.mean(axis=0)
+        # the direction from the centers' mean to the decoy's is the same at
+        # every scale, so it is taken at scale's mantissa in [0.5, 1): a
+        # power-of-two rescaling, exact, after which no square in the norm
+        # under- or overflows. Where none did at scale itself, the bits are
+        # those of the direction taken there
+        unit = math.frexp(scale)[0] * np.eye(spec.k, spec.d)
+        off = unit[spec.decoy] - unit.mean(axis=0)
         off /= np.linalg.norm(off)
-    pocket_center = centers[spec.decoy] + spec.pocket_offset * off
     if spec.d > spec.k + 1:
         overlap_dir = np.zeros(spec.d)
         overlap_dir[spec.k + 1] = -1.0
     else:
         overlap_dir = -np.ones(spec.d) / math.sqrt(spec.d)
-    overlap_center = 1.25 * spec.separation * overlap_dir
+    # a center beyond the float range comes out inf or nan here; the generator
+    # refuses it if a block uses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        pocket_center = centers[spec.decoy] + spec.pocket_offset * off
+        overlap_center = 1.25 * spec.separation * overlap_dir
     return centers, pocket_center, overlap_center
 
 
@@ -371,7 +381,14 @@ def generate_pocket_dataset(spec: SynthPocketSpec) -> tuple[Dataset, frozenset[i
         if main_counts[c] > 0:
             blocks.append((centers[c], int(main_counts[c]), False, c))
     if pocket_m > 0:
+        if not np.isfinite(pocket_center).all():
+            raise ConfigError(f"--separation {spec.separation!r} with --pocket-offset "
+                              f"{spec.pocket_offset!r} puts the pocket center beyond the "
+                              "float range")
         blocks.append((pocket_center, pocket_m, True, spec.pocket_class))
+    if overlap_m and not np.isfinite(overlap_center).all():
+        raise ConfigError(f"--separation {spec.separation!r} puts the overlap center, "
+                          "1.25 * separation out, beyond the float range")
     for c in range(spec.k):
         if overlap_counts[c] > 0:
             blocks.append((overlap_center, int(overlap_counts[c]), False, c))

@@ -20,6 +20,11 @@ from .classifier import ModelParams, predict_proba_matrix
 from .sampling import RngState, select_positions, uniform_sample
 from .sampling import select_top_k  # noqa: F401  unused here; perfbench/tracer.py wraps this name
 
+# score_pool scores this many design cells (doubles) at a time, 512 KB: a
+# block and its temporaries stay in L2 (5957 rows at d = 10)
+_BLOCK_CELLS = 1 << 16
+
+
 class StrategyKind(enum.Enum):
     RANDOM = "random"
     GREEDY = "greedy"
@@ -66,20 +71,36 @@ class StrategyConfig:
                     or self.kind is StrategyKind.EPS_GREEDY and self.epsilon == 1.0)
 
 
-def score_pool(model: ModelParams, pool_rows, cfg: StrategyConfig) -> np.ndarray:
-    """Smoothed predictive entropy (nats) for every pool row, one pass, from
-    the pool's rows of a design matrix (`classifier.design`).
+def score_pool(model: ModelParams, Xa, rows, cfg: StrategyConfig) -> np.ndarray:
+    """Smoothed predictive entropy (nats) of the design matrix Xa's
+    (`classifier.design`) rows at the indices `rows`, one score per row in
+    `rows`' order.
 
-    For each row: r = softmax(Wx), v = (1-chi)r + chi/k, u = H(v). The
-    probabilities are held class-major, shape (k, n), smoothed in place,
-    and the entropy sums down axis 0.
+    For each row: r = softmax(Wx), v = (1-chi)r + chi/k, u = H(v). The rows
+    are scored in blocks of _BLOCK_CELLS // Xa.shape[1] rows, each gathered
+    from Xa on its own, so no pool-sized copy of the rows or (k, n)
+    temporary is made. A block's probabilities are held class-major, shape
+    (k, m), smoothed in place, and the entropy sums down axis 0: every step
+    but the product W @ block.T works column by column, and that product
+    keeps its bits in any block of 2 rows or more, where a 1-row block would
+    take numpy's matrix-vector path, which rounds differently. So no block
+    holds 1 row unless `rows` does: a 1-row remainder joins the block before
+    it. The scores are those of one gather of all the rows.
     """
-    V = predict_proba_matrix(model, pool_rows).T
-    V *= 1.0 - cfg.chi
-    V += cfg.chi / V.shape[0]
-    H = np.log(V)
-    H *= V
-    return -H.sum(axis=0)
+    idx = np.asarray(rows, dtype=np.intp)
+    n = len(idx)
+    out = np.empty(n)
+    step = max(2, _BLOCK_CELLS // Xa.shape[1])
+    # no block starts at the last row unless it is the first
+    starts = range(0, max(n - 1, 1), step)
+    for start, stop in zip(starts, [*starts[1:], n]):
+        V = predict_proba_matrix(model, np.take(Xa, idx[start:stop], axis=0)).T
+        V *= 1.0 - cfg.chi
+        V += cfg.chi / V.shape[0]
+        H = np.log(V)
+        H *= V
+        np.negative(H.sum(axis=0), out=out[start:stop])
+    return out
 
 
 def select_batch(cfg: StrategyConfig, scores: np.ndarray | int, b: int,
@@ -102,7 +123,9 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray | int, b: int,
     Random, and Weighted at d = 0, is that merge at log weight 0
     (`uniform_sample`). eps-Greedy at epsilon = 1 runs its slot loop from
     the pool size alone, every slot a uniform pick; it does not take
-    `uniform_sample`, which reads the rng otherwise.
+    `uniform_sample`, which reads the rng otherwise. eps-Greedy at
+    epsilon = 0 is Greedy: every slot is greedy, so it takes Greedy's top B
+    and draws nothing.
     """
     if isinstance(scores, (int, np.integer)):
         if cfg.reads_scores:
@@ -129,7 +152,9 @@ def select_batch(cfg: StrategyConfig, scores: np.ndarray | int, b: int,
         # stays finite, and every d >= 2**996 is past the greedy limit already
         return select_positions(min(cfg.exponent_d, 2.0**996) * np.log(scores), b, rng)
 
-    if cfg.kind is StrategyKind.GREEDY:
+    # at epsilon = 0 no uniform is below epsilon, so every eps-Greedy slot is
+    # greedy: the batch is Greedy's, taken without reading the rng
+    if cfg.kind is StrategyKind.GREEDY or cfg.epsilon == 0.0:
         return set(_best(scores, b).tolist())
 
     # EPS_GREEDY: each slot takes the best remaining position, or with

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -120,6 +121,48 @@ class TestSynth:
         out = make_synth(capsys, tmp_path)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "dcf21c24d79fca4c9d68f932a6b5b0e8d22bc774daea95d438b2ac539420b08f")
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--d", "3", "--k", "3", "--seed", "3"],
+         "68e73f9119ab10cfc4c945d12c5c9aad4bff86ac22c55ca6da40a23e0ddf61a1"),
+        (["--d", "2", "--k", "2", "--separation", "1e-150", "--seed", "4"],
+         "40d0b103e40728e4802e211d47ff6571085890958a04261e030492b1ea8b965a"),
+        (["--d", "3", "--k", "3", "--separation", "1e150", "--seed", "5",
+          "--overlap-fraction", "0.1"],
+         "e9474506c763d76bd9f946cfc0f4ad7e622dccf1b6e8a15649e22656f6883e7e"),
+    ])
+    def test_bytes_pinned_at_d_equal_k(self, capsys, tmp_path, argv, digest):
+        # at d = k the pocket's direction is computed from the cluster
+        # centers; these separations keep every square in the norm normal, and
+        # their bytes stay as they were before the direction was rescaled
+        out = tmp_path / "x.csv"
+        rc, _, err = run_cli(capsys, "synth", "--n", "600", "--beta", "0.05", *argv,
+                             "--out", str(out))
+        assert rc == EXIT_OK, err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [
+        ["--d", "2", "--k", "2", "--beta", "0", "--separation", "1e-300", "--seed", "75"],
+        ["--d", "3", "--k", "3", "--beta", "0.1", "--separation", "1e-300", "--seed", "75"],
+        ["--d", "3", "--k", "3", "--beta", "0.1", "--separation", "1e200", "--seed", "75"],
+    ])
+    def test_extreme_separation_at_d_equal_k_runs_warning_free(self, capsys, tmp_path, argv):
+        # the pocket's direction stays a finite unit vector whether the
+        # squares in its norm would underflow or overflow at the centers' scale
+        out = tmp_path / "x.csv"
+        rc, _, err = run_cli(capsys, "synth", "--n", "600", *argv, "--out", str(out))
+        assert rc == EXIT_OK, err
+        rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
+        assert all(math.isfinite(float(x)) for row in rows for x in row[:-1])
+
+    def test_center_beyond_the_float_range_names_separation(self, capsys, tmp_path):
+        rc, out, err = run_cli(capsys, "synth", "--n", "600", "--d", "5", "--k", "3",
+                               "--beta", "0.1", "--separation", "1.7e308",
+                               "--overlap-fraction", "0.1", "--out", str(tmp_path / "x.csv"))
+        assert rc == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: --separation 1.7e+308 ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_spec(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "synth", "--n", "100", "--d", "1", "--k", "3",
@@ -473,6 +516,36 @@ class TestRun:
         rc, _, err = run_cli(capsys, "run", str(cfg))
         assert rc == EXIT_OK, err
         assert hashlib.sha256((out_dir / "records.jsonl").read_bytes()).hexdigest() == digest
+
+    def test_eps_greedy_at_epsilon_zero_writes_greedys_records(self, capsys, tmp_path):
+        # every slot is greedy and draws nothing, so the records are Greedy's
+        csv_path = make_synth(capsys, tmp_path, n=1200)
+        outs = {}
+        for strategy, extra in (("greedy", {}), ("eps_greedy", {"epsilon": 0})):
+            outs[strategy] = tmp_path / strategy
+            cfg = write_config(tmp_path, csv_path, outs[strategy], strategy=strategy,
+                               holdout_fraction=0.2, **extra)
+            rc, _, err = run_cli(capsys, "run", str(cfg))
+            assert rc == EXIT_OK, err
+        assert (outs["eps_greedy"] / "records.jsonl").read_bytes() == (
+            outs["greedy"] / "records.jsonl").read_bytes()
+
+    def test_overflowing_newton_slope_runs_warning_free(self, capsys, tmp_path):
+        # at separation 1e150 with no penalty the fit's predicted decrease
+        # -g.step overflows; the fit stops there, where the Armijo test
+        # rejected all 51 halvings, with the same weights and no warning
+        # (the suite turns warnings into errors)
+        csv_path = tmp_path / "b.csv"
+        rc, _, err = run_cli(capsys, "synth", "--n", "30", "--d", "8", "--k", "5",
+                             "--beta", "0", "--separation", "1e150", "--seed", "6",
+                             "--out", str(csv_path))
+        assert rc == EXIT_OK, err
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path, csv_path, out_dir, n0=1, rounds=1, batch=5,
+                           chi="1e-300", l2_reg=0)
+        rc, _, err = run_cli(capsys, "run", str(cfg))
+        assert rc == EXIT_OK, err
+        assert len((out_dir / "records.jsonl").read_text().splitlines()) == 4
 
     def test_warm_run_reads_the_sidecar(self, capsys, tmp_path, monkeypatch):
         # the first run parses the CSV and writes its sidecar; the second

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from alselect.classifier import FitConfig, ModelParams, accuracy, design, fit
 from alselect.data import standardize_apply, standardize_fit
 from alselect.errors import ConfigError, VacuousBoundError
-from alselect import cli, harness
+from alselect import cli, harness, strategies
 from alselect.harness import (BLOCK, ExperimentConfig, SynthPocketSpec, biased_init,
                               generate_pocket_dataset, holdout_ids,
                               run_experiment, run_trial, validate_lemma)
@@ -291,14 +291,35 @@ class TestRunTrial:
         real = harness.score_pool
         rows = []
 
-        def spy(model, pool_rows, strategy):
-            rows.append(len(pool_rows))
-            return real(model, pool_rows, strategy)
+        def spy(model, Xa, pool_idx, strategy):
+            rows.append(len(pool_idx))
+            return real(model, Xa, pool_idx, strategy)
 
         monkeypatch.setattr(harness, "score_pool", spy)
         run_trial(dataset, cfg, 0)
         pool = dataset.n - int(cfg.holdout_fraction * dataset.n) - cfg.n0
         assert rows == ([pool - r * cfg.batch for r in range(cfg.rounds)] if scored else [])
+
+    @pytest.mark.parametrize("kind", list(StrategyKind))
+    def test_records_do_not_depend_on_the_block_size(self, monkeypatch, kind):
+        # at 16 cells a block holds 3 rows of this d = 4 design, so each
+        # round's pool of 600-odd rows is scored in some 200 blocks; at 2**40
+        # cells it is one block
+        dataset, _ = generate_pocket_dataset(small_spec())
+        cfg = small_config(kind=kind, trials=1)
+        strip = lambda r: (r.trial, r.round, r.selected_ids, r.labeled_count,
+                           r.holdout_accuracy)
+        real = harness.score_pool
+        runs = []
+        for cells in (16, 2**40):
+            scores = []
+            monkeypatch.setattr(strategies, "_BLOCK_CELLS", cells)
+            monkeypatch.setattr(harness, "score_pool",
+                                lambda *args: scores.append(real(*args)) or scores[-1])
+            records = [strip(r) for r in run_trial(dataset, cfg, 0)]
+            runs.append((records, [s.tobytes() for s in scores]))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == (cfg.rounds if kind is not StrategyKind.RANDOM else 0)
 
     def test_fit_warm_starts_from_previous_round(self, monkeypatch):
         dataset, _ = generate_pocket_dataset(small_spec())
@@ -386,7 +407,7 @@ class TestDesignRows:
         assert np.array_equal(Xa[:, :-1], Z) and (Xa[:, -1] == 1.0).all()
         P = per_call_hstack_probs(model.weights, Z, idx)
         V = (1.0 - chi) * P + chi / model.k
-        scores = score_pool(model, Xa[idx], StrategyConfig(kind=StrategyKind.WEIGHTED, chi=chi))
+        scores = score_pool(model, Xa, idx, StrategyConfig(kind=StrategyKind.WEIGHTED, chi=chi))
         assert np.array_equal(scores, -(V * np.log(V)).sum(axis=0))
         assert accuracy(model, Xa[idx], labels) == float((P.argmax(axis=0) == labels).mean())
 
@@ -397,7 +418,7 @@ class TestDesignRows:
             design(np.zeros(3))
         model = ModelParams(weights=np.zeros((2, 3)), k=2, d=2)
         with pytest.raises(ValueError, match="columns"):
-            score_pool(model, np.zeros((4, 2)), StrategyConfig(kind=StrategyKind.GREEDY))
+            score_pool(model, np.zeros((4, 2)), np.arange(4), StrategyConfig(kind=StrategyKind.GREEDY))
 
 
 class TestRunExperiment:
@@ -520,6 +541,40 @@ class TestGeneratePocketDataset:
             for offset in (bad, -bad):
                 with pytest.raises(ValueError, match="^pocket_offset must be finite"):
                     small_spec(pocket_offset=offset)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("separation", [5e-324, 1e-310, 1e-300, 1e-160, 6.0,
+                                            1e160, 1e200, 1.7e308])
+    def test_pocket_direction_at_d_equal_k_is_a_unit_vector(self, k, separation):
+        # at d = k the pocket sits along the unit direction from the centers'
+        # mean to the decoy's center, (e_decoy - 1/k) / sqrt(1 - 1/k) at every
+        # separation: no square in its norm under- or overflows (the suite
+        # turns such warnings into errors)
+        # an offset on the centers' scale, so the difference below keeps its bits
+        spec = small_spec(d=k, k=k, pocket_class=0, separation=separation,
+                          pocket_offset=3.25 if separation < 1 else separation / 4,
+                          train_prevalence=(1 / k,) * k, pool_prevalence=(1 / k,) * k)
+        centers, pocket_center, _ = harness._cluster_centers(spec)
+        off = (pocket_center - centers[spec.decoy]) / spec.pocket_offset
+        want = (np.eye(k)[spec.decoy] - 1.0 / k) / math.sqrt(1.0 - 1.0 / k)
+        np.testing.assert_allclose(off, want, rtol=1e-12, atol=1e-15)
+        generate_pocket_dataset(spec)
+
+    @pytest.mark.parametrize("overrides, match", [
+        (dict(separation=1.7e308, overlap_fraction=0.1), "overlap center"),
+        (dict(d=5, separation=1.7e308, overlap_fraction=0.1), "overlap center"),
+        (dict(d=3, separation=1.7e308, pocket_offset=1.7e308), "pocket center"),
+    ])
+    def test_center_beyond_the_float_range_is_config_error(self, overrides, match):
+        with pytest.raises(ConfigError, match=f"^--separation 1.7e\\+308 .*{match}"):
+            generate_pocket_dataset(small_spec(**overrides))
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_unused_center_beyond_the_float_range_is_not_refused(self, d):
+        # without an overlap region its center is never realized, so a
+        # separation that puts it out of range still generates, warning-free
+        dataset, _ = generate_pocket_dataset(small_spec(d=d, separation=1.7e308))
+        assert np.isfinite(dataset.features).all()
 
 
 class TestValidateLemma:

@@ -4,13 +4,16 @@ limit behaviors (d=0 is Random, d large greedy-like, eps=0 greedy)."""
 import bisect
 import math
 import sys
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alselect import strategies
 from alselect.classifier import ModelParams, design, fit
 from alselect.probs import entropy_lower_bound
 from alselect.sampling import _CHUNK, _PARTITION_SURPLUS, RngState, select_top_k
@@ -33,12 +36,13 @@ def make_scores(values):
 def reference_eps_greedy(scores, b, epsilon, rng):
     """eps-Greedy by popping one slot at a time from the remaining positions
     in ascending order: a uniform slot pops the j-th, a greedy slot the best
-    remaining one in the stable ranking."""
+    remaining one in the stable ranking. At epsilon = 0 no slot can be
+    uniform, so none reads the rng."""
     remaining = list(range(len(scores)))
     ranked = iter(np.argsort(-scores, kind="stable").tolist())
     chosen = set()
     for _ in range(b):
-        if rng.uniforms_open(1)[0] < epsilon:
+        if epsilon and rng.uniforms_open(1)[0] < epsilon:
             pick = remaining.pop(rng.integers(len(remaining)))
         else:
             # positions the iterator passes over are chosen for good
@@ -65,7 +69,8 @@ class TestScorePool:
         k, d = 4, 3
         model = ModelParams(weights=np.zeros((k, d + 1)), k=k, d=d)
         X = np.random.default_rng(0).standard_normal((50, d))
-        scores = score_pool(model, design(X), StrategyConfig(kind=StrategyKind.GREEDY, chi=0.2))
+        scores = score_pool(model, design(X), np.arange(len(X)),
+                            StrategyConfig(kind=StrategyKind.GREEDY, chi=0.2))
         assert np.unique(scores).size == 1  # identical inputs, identical score
         assert scores[0] == pytest.approx(math.log(k), abs=1e-12)
 
@@ -73,7 +78,8 @@ class TestScorePool:
         # r ~ [1, 0] then v = [0.95, 0.05]; H(v) = 0.1985152433458726
         model = ModelParams(weights=np.array([[60.0, 0.0], [-60.0, 0.0]]), k=2, d=1)
         X = np.array([[1.0]])
-        scores = score_pool(model, design(X), StrategyConfig(kind=StrategyKind.GREEDY, chi=0.1))
+        scores = score_pool(model, design(X), np.arange(len(X)),
+                            StrategyConfig(kind=StrategyKind.GREEDY, chi=0.1))
         assert scores[0] == pytest.approx(0.1985152433458726, abs=1e-9)
 
     def test_matches_scalar_chain(self):
@@ -83,7 +89,7 @@ class TestScorePool:
         y = rng.integers(0, k, size=20)
         model = fit(X, y, k)
         cfg = StrategyConfig(kind=StrategyKind.WEIGHTED, chi=0.07)
-        scores = score_pool(model, design(X), cfg)
+        scores = score_pool(model, design(X), np.arange(len(X)), cfg)
         for i in range(20):
             u = oracle_score(model.weights.tolist(), X[i].tolist(), 0.07)
             assert scores[i] == pytest.approx(u, rel=1e-9)
@@ -93,10 +99,83 @@ class TestScorePool:
         k, d, chi = 3, 5, 0.2
         model = ModelParams(weights=rng.standard_normal((k, d + 1)) * 3, k=k, d=d)
         X = rng.standard_normal((200, d)) * 4
-        scores = score_pool(model, design(X), StrategyConfig(kind=StrategyKind.GREEDY, chi=chi))
+        scores = score_pool(model, design(X), np.arange(len(X)),
+                            StrategyConfig(kind=StrategyKind.GREEDY, chi=chi))
         floor = entropy_lower_bound(chi / k, k)
         assert (scores >= max(floor, 0.0) - 1e-12).all()
         assert (scores <= math.log(k) + 1e-12).all()
+
+
+def one_gather_scores(model, Xa, idx, chi):
+    """score_pool's formula over one gather of all the rows idx of Xa."""
+    s = model.weights @ Xa[idx].T
+    P = np.exp(s - s.max(axis=0))
+    P /= P.sum(axis=0)
+    V = (1.0 - chi) * P + chi / model.k
+    return -(V * np.log(V)).sum(axis=0)
+
+
+@st.composite
+def blocked_pools(draw):
+    """A design, a model, a block size of 1 to 40 rows' cells (at least 2
+    rows a block) and 1 to several blocks' worth of row indices (a whole
+    number of blocks plus one, often) into the design, in any order."""
+    d = draw(st.integers(1, 12))
+    k = draw(st.integers(2, 10))
+    cells = draw(st.integers(1, 40 * (d + 1)))
+    step = max(2, cells // (d + 1))
+    m = draw(st.one_of(st.integers(1, 5 * step + 2),
+                       st.integers(0, 5).map(lambda q: q * step + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Xa = design(rng.standard_normal((m + draw(st.integers(0, 50)), d)))
+    W = rng.standard_normal((k, d + 1)) * draw(st.sampled_from([0.0, 1.0, 10.0]))
+    idx = rng.choice(len(Xa), size=m, replace=False)
+    if draw(st.booleans()):
+        idx.sort()
+    return ModelParams(weights=W, k=k, d=d), Xa, idx, cells, draw(st.floats(1e-3, 0.999))
+
+
+class TestScorePoolBlocks:
+    """score_pool scores the pool in blocks of rows; the scores are those of
+    one gather of every row, bit for bit, at any block size."""
+
+    @given(blocked_pools())
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_score_as_one_gather(self, problem):
+        model, Xa, idx, cells, chi = problem
+        with mock.patch.object(strategies, "_BLOCK_CELLS", cells):
+            scores = score_pool(model, Xa, idx, StrategyConfig(kind=StrategyKind.WEIGHTED, chi=chi))
+        assert np.array_equal(scores, one_gather_scores(model, Xa, idx, chi))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7])
+    def test_no_block_holds_one_row_unless_the_pool_does(self, monkeypatch, n):
+        # at 2 rows a block, a pool of an odd size > 1 ends in a 3-row block
+        gathered = []
+        real = np.take
+        monkeypatch.setattr(strategies, "_BLOCK_CELLS", 1)
+        monkeypatch.setattr(strategies.np, "take",
+                            lambda a, i, axis: gathered.append(len(i)) or real(a, i, axis=axis))
+        model = ModelParams(weights=np.zeros((2, 2)), k=2, d=1)
+        score_pool(model, design(np.zeros((n, 1))), np.arange(n),
+                   StrategyConfig(kind=StrategyKind.GREEDY))
+        assert sum(gathered) == n
+        assert (gathered == [1]) if n == 1 else (min(gathered) >= 2)
+
+    def test_memory_is_one_block_beyond_the_output(self):
+        # a 100k-row pool at d = 10: the gathered pool alone would be 8.8 MB
+        rng = np.random.default_rng(0)
+        Xa = design(rng.standard_normal((100_000, 10)))
+        idx = rng.permutation(100_000)
+        model = ModelParams(weights=rng.standard_normal((3, 11)), k=3, d=10)
+        cfg = StrategyConfig(kind=StrategyKind.WEIGHTED)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            scores = score_pool(model, Xa, idx, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= scores.nbytes + 2 * 2**20
 
 
 class TestSelectBatchScores:
@@ -166,9 +245,12 @@ class TestEpsGreedy:
         greedy = select_batch(StrategyConfig(kind=StrategyKind.GREEDY),
                               make_scores(u), 8, RngState(0))
         for seed in range(10):
+            rng = RngState(seed)
             eps0 = select_batch(StrategyConfig(kind=StrategyKind.EPS_GREEDY, epsilon=0.0),
-                                make_scores(u), 8, RngState(seed))
+                                make_scores(u), 8, rng)
             assert eps0 == greedy
+            # every slot is greedy, so none drew from the rng
+            assert rng.uniforms_open(4).tolist() == RngState(seed).uniforms_open(4).tolist()
 
     def test_eps_one_is_not_greedy(self):
         u = np.linspace(0.1, 3.0, 50)
