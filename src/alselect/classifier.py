@@ -7,12 +7,14 @@ lambda->inf limit predicts exactly the uniform distribution.
 
 A design matrix is feature rows with a constant-one bias column
 appended, shape (n, d+1); `design` builds one. `fit` takes raw feature
-rows and builds its own design; `predict_proba_matrix` and `accuracy` take
-rows of a design the caller built once, and `strategies.score_pool` takes
-that design and the indices of the rows to score (`harness.run_trial`
-fills one per trial with the standardized features, gathers the holdout's
-rows once, and scores the pool in blocks of rows gathered one at a time,
-no block of which holds 1 row unless the pool does).
+rows and builds its own design; `predict_proba_matrix` takes rows of a
+design the caller built, and `accuracy` and `strategies.score_pool` take
+that design and the indices of the rows to score. `harness.run_trial`
+fills one design per trial with the standardized features and hands it,
+with the holdout's or the pool's row indices, to those two. Both score
+through `proba_blocks`: blocks of rows gathered one at a time, no block
+of which holds 1 row unless the indices do, so no copy of all the rows
+and no (k, n) temporary over all of them is made.
 
 Probabilities are held class-major, shape (k, n): the softmax reduces
 down axis 0, k elementwise passes over contiguous rows of n, rather than
@@ -44,6 +46,9 @@ import numpy as np
 # steps, cold or warm-started
 _MAX_ITERS = 500
 _EPS = np.finfo(np.float64).eps
+# proba_blocks gathers this many design cells (doubles) at a time, 512 KB: a
+# block and its temporaries stay in L2 (5957 rows at d = 10)
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -268,23 +273,67 @@ def predict_proba_matrix(params: ModelParams, Xa) -> np.ndarray:
     """Softmax class probabilities for n rows of a design matrix (see
     `design`), shape (n, k): the transposed view of the class-major (k, n)
     array, so `.T` gives each class's row contiguous."""
+    return _softmax(params.weights @ _fitting_design(params, Xa).T).T
+
+
+def _fitting_design(params: ModelParams, Xa) -> np.ndarray:
+    """Xa as a float64 array, which must have the d+1 columns of a design
+    for `params`' model."""
     Xa = np.asarray(Xa, dtype=np.float64)
     if Xa.ndim != 2 or Xa.shape[1] != params.d + 1:
         raise ValueError(f"design rows of shape {Xa.shape} do not fit a model of "
                          f"dim {params.d} (need {params.d + 1} columns)")
-    return _softmax(params.weights @ Xa.T).T
+    return Xa
 
 
-def accuracy(params: ModelParams, Xa, labels) -> float:
-    """Fraction of the n design rows Xa whose argmax prediction matches the
-    label; `labels` must have shape (n,).
+def proba_blocks(params: ModelParams, Xa, rows):
+    """The class-major softmax probabilities of the design matrix Xa's rows
+    at the indices `rows`, a block of rows at a time: yields (start, stop, P)
+    with P of shape (k, stop - start) for the rows `rows[start:stop]`, the
+    blocks in order and together covering `rows` (one empty block when
+    `rows` is empty).
+
+    A block holds _BLOCK_CELLS // Xa.shape[1] rows, gathered from Xa on its
+    own. Every column of P has the bits of one gather of all the rows: the
+    softmax works column by column, and the product W @ block.T keeps its
+    bits in any block of 2 rows or more, where a 1-row block would take
+    numpy's matrix-vector path, which rounds differently. So no block holds
+    1 row unless `rows` does: a 1-row remainder joins the block before it.
+    """
+    Xa = _fitting_design(params, Xa)
+    idx = np.asarray(rows, dtype=np.intp)
+    n = len(idx)
+    step = max(2, _BLOCK_CELLS // Xa.shape[1])
+    # no block starts at the last row unless it is the first
+    starts = range(0, max(n - 1, 1), step)
+    for start, stop in zip(starts, [*starts[1:], n]):
+        yield start, stop, _softmax(params.weights @ np.take(Xa, idx[start:stop], axis=0).T)
+
+
+def accuracy(params: ModelParams, Xa, rows, labels) -> float:
+    """Fraction of the design matrix Xa's rows at the indices `rows` whose
+    argmax prediction matches the label; `labels` holds one label per
+    index, shape (len(rows),).
 
     Argmax ties break toward the smallest class index (numpy argmax order).
+    The rows are scored in `proba_blocks`' blocks, and each block's argmax
+    is taken down axis 0 in k contiguous passes of `np.greater` and
+    `np.maximum`, so the first maximum wins. A column of P holds a NaN only
+    where every entry is NaN, and then both give class 0. The count is that
+    of one gather of all the rows.
     """
-    P = predict_proba_matrix(params, Xa).T
     y = np.asarray(labels, dtype=np.int64)
-    if y.shape != (P.shape[1],):
-        raise ValueError(f"labels shape {y.shape} does not match {P.shape[1]} rows")
-    if y.shape[0] == 0:
+    n = len(rows)
+    if y.shape != (n,):
+        raise ValueError(f"labels shape {y.shape} does not match {n} rows")
+    if n == 0:
         raise ValueError("cannot score an empty dataset")
-    return float((P.argmax(axis=0) == y).mean())
+    hits = 0
+    for start, stop, P in proba_blocks(params, Xa, rows):
+        best = P[0].copy()
+        pred = np.zeros(stop - start, dtype=np.int64)
+        for c in range(1, P.shape[0]):
+            pred[np.greater(P[c], best)] = c
+            np.maximum(best, P[c], out=best)
+        hits += int(np.count_nonzero(pred == y[start:stop]))
+    return hits / n

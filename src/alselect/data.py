@@ -36,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import classifier
 from .errors import DataFormatError
 
 
@@ -387,6 +388,11 @@ def standardize_apply(params: StandardizationParams, features, out=None,
     `features` itself, or the feature columns of a design matrix); element
     by element, so the bits do not depend on it.
 
+    The rows go a block at a time (`classifier._BLOCK_CELLS` cells, at
+    least one row) through one contiguous buffer, so the subtract and the
+    divide stream a contiguous block and `out`, strided or not, is written
+    by one copy per block.
+
     Raises DataFormatError naming the first column (`names` as in
     `standardize_fit`) with a standardized value that is not finite.
     Finite features, means and stds can only overflow here, so the check
@@ -395,10 +401,19 @@ def standardize_apply(params: StandardizationParams, features, out=None,
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.means.shape[0]:
         raise ValueError(f"feature shape {X.shape} does not match params")
+    if out is None:
+        out = np.empty(X.shape)
+    elif out.shape != X.shape:
+        raise ValueError(f"out shape {out.shape} does not match features {X.shape}")
+    step = max(1, classifier._BLOCK_CELLS // max(1, X.shape[1]))
+    buf = np.empty((min(step, len(X)), X.shape[1]))
     overflows = []
     with np.errstate(over="call", call=lambda kind, flag: overflows.append(kind)):
-        out = np.subtract(X, params.means, out=out)
-        np.divide(out, params.stds, out=out)
+        for start in range(0, len(X), step):
+            block = buf[:len(X) - start]
+            np.subtract(X[start:start + step], params.means, out=block)
+            np.divide(block, params.stds, out=block)
+            out[start:start + step] = block
     if overflows:
         raise DataFormatError(f"{_column(~np.isfinite(out).all(axis=0), names)}: a standardized "
                               "value is not finite; the features are too large to standardize")

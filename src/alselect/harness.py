@@ -22,7 +22,7 @@ from .classifier import FitConfig, accuracy, fit
 from .data import Dataset, standardize_apply, standardize_fit
 from .errors import ConfigError
 from .probs import LemmaBoundInput, LemmaBoundReport, lemma_bound
-from .sampling import RngState, gumbel_keys, uniform_sample
+from .sampling import RngState, gumbel_keys, uniform_positions, uniform_sample
 from .sampling import select_top_k  # noqa: F401  perfbench/tracer.py wraps this name
 from .strategies import StrategyConfig, score_pool, select_batch
 
@@ -113,12 +113,19 @@ def biased_init(labels: Sequence[int], n0: int, k: int, rng: RngState) -> set[in
 
 def holdout_ids(n: int, cfg: ExperimentConfig) -> set[int]:
     """The holdout split for a dataset of n rows, never empty: derived from
-    the master seed only, so every trial and every strategy shares it."""
+    the master seed only, so every trial and every strategy shares it. The
+    rows `run_trial` holds out, as a set."""
+    return set(_holdout_rows(n, cfg).tolist())
+
+
+def _holdout_rows(n: int, cfg: ExperimentConfig) -> np.ndarray:
+    """`holdout_ids` as an int array in no particular order: the draw of
+    `uniform_sample(np.arange(n), size, rng)` on the holdout stream."""
     size = int(cfg.holdout_fraction * n)
     if size == 0:
         raise ConfigError(f"holdout_fraction = {cfg.holdout_fraction} leaves no holdout "
                           f"rows in a dataset of {n} rows")
-    return uniform_sample(np.arange(n), size, RngState(cfg.master_seed).derive(_HOLDOUT))
+    return uniform_positions(n, size, RngState(cfg.master_seed).derive(_HOLDOUT))
 
 
 def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list[RoundRecord]:
@@ -133,15 +140,18 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
     rows only and frozen for the whole trial; features too large to
     standardize raise DataFormatError before any fit. The standardized
     rows and their bias column are written once, into one design matrix
-    for the trial: the holdout's rows are gathered from it once, pool
-    scoring is handed the design and the pool's row indices and gathers
-    them in blocks of rows (no block holds 1 row unless the pool does), and
-    `fit` gathers its feature columns. The oracle is the dataset's
-    ground truth. Round 0's fit starts from zero weights; every later round
-    warm-starts from the previous round's model, so no state crosses trials.
+    for the trial: holdout accuracy and pool scoring are handed the design
+    and the holdout's or the pool's row indices and gather them in blocks
+    of rows (`classifier.proba_blocks`; no block holds 1 row unless the
+    indices do), and `fit` gathers its feature columns. The oracle is the
+    dataset's ground truth. Round 0's fit starts from zero weights; every
+    later round warm-starts from the previous round's model, so no state
+    crosses trials.
 
     The split is one state per dataset row (pool, labeled or holdout), so
-    its parts are disjoint and cover the dataset by construction. The
+    its parts are disjoint and cover the dataset by construction; it is set
+    from the holdout draw's array of rows, and each part is read back as an
+    ascending index array. The
     strategies see only positions into the current pool; this function
     alone maps them to dataset rows, after checking that select_batch
     returned `batch` distinct positions in [0, pool size). An exception
@@ -151,7 +161,7 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
     master = RngState(cfg.master_seed)
 
     state = np.full(n, _ROW_POOL, dtype=np.int8)
-    state[list(holdout_ids(n, cfg))] = _ROW_HOLDOUT
+    state[_holdout_rows(n, cfg)] = _ROW_HOLDOUT
     hold_idx = np.flatnonzero(state == _ROW_HOLDOUT)
     remaining = np.flatnonzero(state == _ROW_POOL)
 
@@ -176,11 +186,12 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
     # are written straight into its feature columns Z, then the bias column is
     # set. Each call gathers its rows: a product over every row, sliced
     # afterwards, would round differently from the product over just the rows
-    # gathered; score_pool gathers the pool's in blocks, with the same bits
+    # gathered; accuracy and score_pool gather theirs in blocks, with the same
+    # bits
     Xa = np.empty((n, dataset.d + 1))
     Z = standardize_apply(std, dataset.features, out=Xa[:, :-1], names=names)
     Xa[:, -1] = 1.0
-    hold_X, hold_y = Xa[hold_idx], dataset.labels[hold_idx]
+    hold_y = dataset.labels[hold_idx]
 
     records: list[RoundRecord] = []
     model = None
@@ -208,7 +219,7 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
 
             lab_idx = np.flatnonzero(state == _ROW_LABELED)
             model = fit(Z[lab_idx], dataset.labels[lab_idx], dataset.k, cfg.fit, init=model)
-            acc = accuracy(model, hold_X, hold_y)
+            acc = accuracy(model, Xa, hold_idx, hold_y)
         except Exception as exc:
             exc.add_note(f"in trial {trial_index}, round {r}")
             raise

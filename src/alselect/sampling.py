@@ -10,9 +10,11 @@ finite key, and no weight has to be normalised into float range first.
 `gumbel_keys` computes the key for its two users, in place in the fresh
 `RngState.uniforms_open` block each hands it. The first is the merge,
 which serves every sampling entry point: `select_positions` runs it once
-over a log-weight array, `uniform_sample` once over an id array at log
-weight 0 (the keys ln(-ln a) are then i.i.d., so the top K is a uniform
-K-subset), and `select_top_k` once per chunk of an (id, weight) stream. It
+over a log-weight array, `uniform_sample` once over an id array at the
+scalar log weight 0 (the keys ln(-ln a) are then i.i.d., so the top K is a
+uniform K-subset), `uniform_positions` likewise over the positions
+0..n-1, returned as an array, and `select_top_k` once per chunk of an
+(id, weight) stream. It
 merges a block into the retained items by one `lexsort`, after a
 `partition` has dropped every key above the K-th best when the merge holds
 many more than K candidates; when exactly K keys are left, no key ties
@@ -115,15 +117,16 @@ def gumbel_keys(uniforms: np.ndarray, log_w: np.ndarray) -> np.ndarray:
     return np.subtract(uniforms, log_w, uniforms)
 
 
-def _merge(kept_ids, kept_keys, ids: np.ndarray, log_w: np.ndarray, k: int,
+def _merge(kept_ids, kept_keys, ids: np.ndarray, log_w, k: int,
            rng: RngState) -> tuple[np.ndarray, np.ndarray]:
-    """Merge one block of ids and finite log weights into the retained items.
+    """Merge one block of ids and their finite log weights (an array, or
+    one scalar for all of them) into the retained items.
 
-    Draws one uniform a per item and returns at most K (id, key) pairs, key
+    Draws one uniform a per id and returns at most K (id, key) pairs, key
     ln(-ln a) - l: the K best of the retained ones and the block by (key, id)
     ascending, in no particular order.
     """
-    keys = gumbel_keys(rng.uniforms_open(len(log_w)), log_w)
+    keys = gumbel_keys(rng.uniforms_open(len(ids)), log_w)
     if kept_ids is not None:
         ids = np.concatenate((kept_ids, ids))
         keys = np.concatenate((kept_keys, keys))
@@ -147,42 +150,56 @@ def select_positions(log_weights, k: int, rng: RngState) -> set[int]:
     One merge over the whole array: `select_top_k(enumerate(w), k, rng)`
     draws the same keys and the same set from an equal rng as
     `select_positions(np.log(w), k, rng)`. Both draw one uniform per item in
-    order, and one block reads the stream as its chunks do.
+    order, and one block reads the stream as its chunks do. A log weight
+    that is not finite is reported before too few items.
     """
+    _check_k(k)
     log_w = np.asarray(log_weights, dtype=np.float64)
-    return _sample(np.arange(log_w.size), log_w, k, rng)
-
-
-def uniform_sample(ids, k: int, rng: RngState) -> set[int]:
-    """K ids drawn uniformly without replacement from a 1-D int array.
-
-    The weighted sampler at equal weights: one merge over
-    `np.zeros(len(ids))`, whose keys ln(-ln a) are i.i.d., so every K-subset
-    is equally likely. It reads the rng as
-    `select_positions(np.zeros(len(ids)), k, rng)` does and returns the ids
-    at the positions that call picks; exact key ties go to the smaller id,
-    which is the smaller position when the ids ascend. Raises ValueError
-    when K < 1, fewer than K ids are given, or a repeated id reaches the
-    result; a repeat that does not reach it passes unreported.
-    """
-    ids = np.asarray(ids)
-    return _sample(ids, np.zeros(ids.shape), k, rng)
-
-
-def _sample(ids: np.ndarray, log_w: np.ndarray, k: int, rng: RngState) -> set[int]:
-    """K distinct ids out of one block by one merge, with the checks of
-    `select_positions` and `uniform_sample`; a log weight that is not
-    finite is reported before too few items."""
-    if k < 1:
-        raise ValueError(f"K must be >= 1, got {k}")
     if log_w.ndim != 1:
         raise ValueError(f"weights must be a 1-D array, got shape {log_w.shape}")
     if len(log_w) and not (log_w[log_w.argmin()] > -math.inf
                            and log_w[log_w.argmax()] < math.inf):  # NaN fails both
         bad = log_w[~np.isfinite(log_w)][0]
         raise ValueError(f"log weights must be finite, got {float(bad)}")
-    ids, _ = _merge(None, None, ids, log_w, k, rng)
+    ids, _ = _merge(None, None, np.arange(len(log_w)), log_w, k, rng)
     return _chosen(ids, len(log_w), k)
+
+
+def uniform_sample(ids, k: int, rng: RngState) -> set[int]:
+    """K ids drawn uniformly without replacement from a 1-D int array.
+
+    The weighted sampler at equal weights: one merge at the scalar log
+    weight 0, whose keys ln(-ln a) are i.i.d., so every K-subset is equally
+    likely; no array of zero weights is made. It reads the rng as
+    `select_positions(np.zeros(len(ids)), k, rng)` does and returns the ids
+    at the positions that call picks; exact key ties go to the smaller id,
+    which is the smaller position when the ids ascend. Raises ValueError
+    when K < 1, the ids are not 1-D, fewer than K ids are given, or a
+    repeated id reaches the result; a repeat that does not reach it passes
+    unreported.
+    """
+    _check_k(k)
+    ids = np.asarray(ids)
+    if ids.ndim != 1:
+        raise ValueError(f"ids must be a 1-D array, got shape {ids.shape}")
+    kept, _ = _merge(None, None, ids, 0.0, k, rng)
+    return _chosen(kept, len(ids), k)
+
+
+def uniform_positions(n: int, k: int, rng: RngState) -> np.ndarray:
+    """K distinct positions into n items drawn uniformly without replacement,
+    as an int array in no particular order: the set
+    `uniform_sample(np.arange(n), k, rng)` returns from an equal rng, which
+    it leaves in the same state, with no set of Python ints built."""
+    _check_k(k)
+    if n < k:
+        raise ValueError(f"requested {k} items but only {n} available")
+    return _merge(None, None, np.arange(n), 0.0, k, rng)[0]
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"K must be >= 1, got {k}")
 
 
 def _chosen(kept_ids: np.ndarray | None, n_seen: int, k: int) -> set[int]:

@@ -16,13 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import ModelParams, predict_proba_matrix
+from .classifier import ModelParams, proba_blocks
 from .sampling import RngState, select_positions, uniform_sample
 from .sampling import select_top_k  # noqa: F401  unused here; perfbench/tracer.py wraps this name
-
-# score_pool scores this many design cells (doubles) at a time, 512 KB: a
-# block and its temporaries stay in L2 (5957 rows at d = 10)
-_BLOCK_CELLS = 1 << 16
 
 
 class StrategyKind(enum.Enum):
@@ -77,24 +73,13 @@ def score_pool(model: ModelParams, Xa, rows, cfg: StrategyConfig) -> np.ndarray:
     `rows`' order.
 
     For each row: r = softmax(Wx), v = (1-chi)r + chi/k, u = H(v). The rows
-    are scored in blocks of _BLOCK_CELLS // Xa.shape[1] rows, each gathered
-    from Xa on its own, so no pool-sized copy of the rows or (k, n)
-    temporary is made. A block's probabilities are held class-major, shape
-    (k, m), smoothed in place, and the entropy sums down axis 0: every step
-    but the product W @ block.T works column by column, and that product
-    keeps its bits in any block of 2 rows or more, where a 1-row block would
-    take numpy's matrix-vector path, which rounds differently. So no block
-    holds 1 row unless `rows` does: a 1-row remainder joins the block before
-    it. The scores are those of one gather of all the rows.
+    are scored in `classifier.proba_blocks`' blocks, so no pool-sized copy
+    of the rows or (k, n) temporary is made. A block's class-major
+    probabilities are smoothed in place and the entropy sums down axis 0,
+    column by column, so the scores are those of one gather of all the rows.
     """
-    idx = np.asarray(rows, dtype=np.intp)
-    n = len(idx)
-    out = np.empty(n)
-    step = max(2, _BLOCK_CELLS // Xa.shape[1])
-    # no block starts at the last row unless it is the first
-    starts = range(0, max(n - 1, 1), step)
-    for start, stop in zip(starts, [*starts[1:], n]):
-        V = predict_proba_matrix(model, np.take(Xa, idx[start:stop], axis=0)).T
+    out = np.empty(len(rows))
+    for start, stop, V in proba_blocks(model, Xa, rows):
         V *= 1.0 - cfg.chi
         V += cfg.chi / V.shape[0]
         H = np.log(V)

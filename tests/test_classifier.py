@@ -4,8 +4,13 @@ formulas, the Newton step against a min-norm lstsq reference, monotone
 loss, convergence to the gradient tolerance, warm starts, boundary
 behaviors, and determinism."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alselect import classifier
 from alselect.classifier import (_MAX_ITERS, FitConfig, ModelParams, _evaluate, _hessian,
@@ -163,7 +168,7 @@ class TestRowMajorReference:
         self.assert_close(H, reference_hessian(W, Xa, 1e-3))
         assert np.array_equal(H, hessian_at(W, Xa, 1e-3))
         self.assert_same(P, ref_P, k)
-        assert accuracy(params, Xa, y) == float((ref_P.argmax(axis=1) == y).mean())
+        assert accuracy(params, Xa, np.arange(n), y) == float((ref_P.argmax(axis=1) == y).mean())
 
     @pytest.mark.parametrize("k", [2, 3, 7, 8, 10])
     @pytest.mark.parametrize("n", [1, 2, 100, 1000])
@@ -317,7 +322,7 @@ class TestFit:
         X = np.array([[-1.0], [1.0]])
         y = np.array([0, 1])
         params = fit(X, y, 2, FitConfig(l2_reg=0.0))
-        assert accuracy(params, design(X), y) == 1.0
+        assert accuracy(params, design(X), np.arange(len(X)), y) == 1.0
 
     def test_huge_regularization_gives_uniform(self):
         # the penalty dominates so feature weights collapse; the unpenalized
@@ -335,7 +340,7 @@ class TestFit:
         X = rng.standard_normal((15, 3))
         y = np.zeros(15, dtype=int)
         params = fit(X, y, 2, FitConfig())
-        assert accuracy(params, design(X), y) == 1.0
+        assert accuracy(params, design(X), np.arange(len(X)), y) == 1.0
 
     def test_loss_monotone(self):
         for X, y in line_search_problems():
@@ -504,24 +509,24 @@ class TestAccuracy:
         params = ModelParams(weights=np.array([[0.0, 5.0], [0.0, -5.0]]), k=2, d=1)
         X = np.array([[0.0]] * 10)
         y = np.array([0] * 5 + [1] * 5)
-        assert accuracy(params, design(X), y) == 0.5
+        assert accuracy(params, design(X), np.arange(len(X)), y) == 0.5
 
     def test_perfect_model(self):
         X = np.array([[-1.0], [1.0]] * 4)
         y = np.array([0, 1] * 4)
         params = fit(X, y, 2, FitConfig(l2_reg=0.0))
-        assert accuracy(params, design(X), y) == 1.0
+        assert accuracy(params, design(X), np.arange(len(X)), y) == 1.0
 
     def test_uniform_ties_break_to_class_zero(self):
         params = ModelParams(weights=np.zeros((2, 2)), k=2, d=1)
         X = np.zeros((10, 1))
         y = np.array([0] * 7 + [1] * 3)
-        assert accuracy(params, design(X), y) == pytest.approx(0.7)
+        assert accuracy(params, design(X), np.arange(len(X)), y) == pytest.approx(0.7)
 
     def test_empty_rejected(self):
         params = ModelParams(weights=np.zeros((2, 2)), k=2, d=1)
         with pytest.raises(ValueError):
-            accuracy(params, design(np.zeros((0, 1))), np.zeros(0, dtype=int))
+            accuracy(params, design(np.zeros((0, 1))), np.arange(0), np.zeros(0, dtype=int))
 
     @pytest.mark.parametrize("rows, labels", [
         (5, np.array([1])),                # one label would broadcast over 5 rows
@@ -531,4 +536,83 @@ class TestAccuracy:
     def test_label_shape_mismatch_rejected(self, rows, labels):
         params = ModelParams(weights=np.array([[0.0, 5.0], [0.0, -5.0]]), k=2, d=1)
         with pytest.raises(ValueError, match="labels shape"):
-            accuracy(params, design(np.zeros((rows, 1))), labels)
+            accuracy(params, design(np.zeros((rows, 1))), np.arange(rows), labels)
+
+
+def one_gather_accuracy(params, Xa, rows, y):
+    """accuracy's formula over one gather of all the rows of Xa at `rows`."""
+    s = params.weights @ Xa[rows].T
+    P = np.exp(s - s.max(axis=0))
+    P /= P.sum(axis=0)
+    return float((P.argmax(axis=0) == y).mean())
+
+
+@st.composite
+def blocked_holdouts(draw):
+    """A design, a model (two of whose classes often share a weight row, so
+    their probabilities tie exactly), a block size of 1 to 40 rows' cells,
+    1 to several blocks' worth of row indices (a whole number of blocks plus
+    one, often) in any order, and one label per index."""
+    d = draw(st.integers(1, 12))
+    k = draw(st.integers(2, 10))
+    cells = draw(st.integers(1, 40 * (d + 1)))
+    step = max(2, cells // (d + 1))
+    m = draw(st.one_of(st.integers(1, 5 * step + 2),
+                       st.integers(0, 5).map(lambda q: q * step + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Xa = design(rng.standard_normal((m + draw(st.integers(0, 50)), d)))
+    W = rng.standard_normal((k, d + 1)) * draw(st.sampled_from([0.0, 1.0, 10.0]))
+    if draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        W[b] = W[a]
+    idx = rng.choice(len(Xa), size=m, replace=False)
+    if draw(st.booleans()):
+        idx.sort()
+    y = rng.integers(0, k, size=m)
+    return ModelParams(weights=W, k=k, d=d), Xa, idx, y, cells
+
+
+class TestAccuracyBlocks:
+    """accuracy scores the rows in blocks and takes each block's argmax in
+    k passes: the count is that of one gather of every row, bit for bit,
+    at any block size, ties included."""
+
+    @given(blocked_holdouts())
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_count_as_one_gather(self, problem):
+        params, Xa, idx, y, cells = problem
+        with mock.patch.object(classifier, "_BLOCK_CELLS", cells):
+            got = accuracy(params, Xa, idx, y)
+        assert got == one_gather_accuracy(params, Xa, idx, y)
+
+    @pytest.mark.parametrize("cells", [1, 16, 2**40])
+    def test_exact_tie_goes_to_the_smaller_class(self, cells):
+        # classes 1 and 3 share the winning weight row; class 0 ties too where
+        # x = 0, so rows 0 and 1 (x = 0) predict 0 and every other row 1
+        W = np.array([[0.0, 1.0], [1.0, 1.0], [-1.0, 0.0], [1.0, 1.0]])
+        params = ModelParams(weights=W, k=4, d=1)
+        Xa = design(np.r_[0.0, 0.0, np.linspace(0.5, 3.0, 9)][:, None])
+        rows = np.arange(len(Xa))[::-1]
+        pred = np.where(Xa[rows, 0] == 0.0, 0, 1)
+        with mock.patch.object(classifier, "_BLOCK_CELLS", cells):
+            assert accuracy(params, Xa, rows, pred) == 1.0
+            assert accuracy(params, Xa, rows, np.where(pred == 1, 3, pred)) == 2 / 11
+            assert accuracy(params, Xa, rows, np.full(len(rows), 1)) == 9 / 11
+
+    def test_memory_is_one_block(self):
+        # a 100k-row holdout at d = 10: one gather of it would be 8.8 MB and
+        # each (k, n) temporary 2.4 MB
+        rng = np.random.default_rng(0)
+        Xa = design(rng.standard_normal((100_000, 10)))
+        idx = rng.permutation(100_000)
+        y = rng.integers(0, 3, size=100_000)
+        params = ModelParams(weights=rng.standard_normal((3, 11)), k=3, d=10)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            acc = accuracy(params, Xa, idx, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 2 * 2**20
+        assert acc == one_gather_accuracy(params, Xa, idx, y)

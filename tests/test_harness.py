@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from alselect.classifier import FitConfig, ModelParams, accuracy, design, fit
 from alselect.data import standardize_apply, standardize_fit
 from alselect.errors import ConfigError, VacuousBoundError
-from alselect import cli, harness, strategies
+from alselect import classifier, cli, harness
 from alselect.harness import (BLOCK, ExperimentConfig, SynthPocketSpec, biased_init,
                               generate_pocket_dataset, holdout_ids,
                               run_experiment, run_trial, validate_lemma)
@@ -117,6 +117,26 @@ class TestRunTrial:
         c = holdout_ids(500, small_config(master_seed=12))
         assert a == b
         assert a != c
+
+    @pytest.mark.parametrize("n", [500, 8000, 30000])
+    def test_holdout_rows_are_the_holdout_ids(self, monkeypatch, n):
+        # run_trial sets the split from the holdout draw's array of rows; the
+        # rows it evaluates are holdout_ids', ascending, with their labels
+        dataset, _ = generate_pocket_dataset(small_spec(n=n))
+        cfg = small_config(rounds=0, trials=1)
+        real, calls = harness.accuracy, []
+
+        def spy(model, Xa, rows, labels):
+            calls.append((rows, labels))
+            return real(model, Xa, rows, labels)
+
+        monkeypatch.setattr(harness, "accuracy", spy)
+        run_trial(dataset, cfg, 0)
+        hold = holdout_ids(n, cfg)
+        [(rows, labels)] = calls
+        assert type(hold) is set and len(hold) == int(cfg.holdout_fraction * n)
+        assert rows.tolist() == sorted(hold)
+        assert np.array_equal(labels, dataset.labels[rows])
 
     def test_eps_greedy_full_trial(self):
         dataset, _ = generate_pocket_dataset(small_spec())
@@ -303,23 +323,35 @@ class TestRunTrial:
     @pytest.mark.parametrize("kind", list(StrategyKind))
     def test_records_do_not_depend_on_the_block_size(self, monkeypatch, kind):
         # at 16 cells a block holds 3 rows of this d = 4 design, so each
-        # round's pool of 600-odd rows is scored in some 200 blocks; at 2**40
-        # cells it is one block
+        # round's pool of 600-odd rows is scored in some 200 blocks and the
+        # 225-row holdout in 75; at 2**40 cells each is one block
         dataset, _ = generate_pocket_dataset(small_spec())
         cfg = small_config(kind=kind, trials=1)
         strip = lambda r: (r.trial, r.round, r.selected_ids, r.labeled_count,
                            r.holdout_accuracy)
         real = harness.score_pool
-        runs = []
+        real_blocks = classifier.proba_blocks
+        runs, holdout_blocks = [], {}
         for cells in (16, 2**40):
-            scores = []
-            monkeypatch.setattr(strategies, "_BLOCK_CELLS", cells)
+            scores, blocks = [], holdout_blocks.setdefault(cells, [])
+
+            # accuracy reads classifier's binding, score_pool its own import
+            def counted(*args, blocks=blocks):
+                blocks.append(0)
+                for block in real_blocks(*args):
+                    blocks[-1] += 1
+                    yield block
+
+            monkeypatch.setattr(classifier, "_BLOCK_CELLS", cells)
+            monkeypatch.setattr(classifier, "proba_blocks", counted)
             monkeypatch.setattr(harness, "score_pool",
                                 lambda *args: scores.append(real(*args)) or scores[-1])
             records = [strip(r) for r in run_trial(dataset, cfg, 0)]
             runs.append((records, [s.tobytes() for s in scores]))
         assert runs[0] == runs[1]
         assert len(runs[0][1]) == (cfg.rounds if kind is not StrategyKind.RANDOM else 0)
+        assert len(holdout_blocks[16]) == cfg.rounds + 1 and min(holdout_blocks[16]) > 1
+        assert holdout_blocks[2**40] == [1] * (cfg.rounds + 1)
 
     def test_fit_warm_starts_from_previous_round(self, monkeypatch):
         dataset, _ = generate_pocket_dataset(small_spec())
@@ -409,7 +441,7 @@ class TestDesignRows:
         V = (1.0 - chi) * P + chi / model.k
         scores = score_pool(model, Xa, idx, StrategyConfig(kind=StrategyKind.WEIGHTED, chi=chi))
         assert np.array_equal(scores, -(V * np.log(V)).sum(axis=0))
-        assert accuracy(model, Xa[idx], labels) == float((P.argmax(axis=0) == labels).mean())
+        assert accuracy(model, Xa, idx, labels) == float((P.argmax(axis=0) == labels).mean())
 
     def test_rows_without_the_bias_column_are_refused(self):
         # raw feature rows are one column short of a design, so a caller who
@@ -511,7 +543,7 @@ class TestGeneratePocketDataset:
         std = standardize_fit(dataset.features[mask])
         Z = standardize_apply(std, dataset.features)
         model = fit(Z[mask], dataset.labels[mask], dataset.k)
-        pocket_acc = accuracy(model, design(Z[pocket_idx]), dataset.labels[pocket_idx])
+        pocket_acc = accuracy(model, design(Z), pocket_idx, dataset.labels[pocket_idx])
         assert 1.0 - pocket_acc >= 0.9
 
     def test_overlap_region(self):

@@ -8,6 +8,7 @@ tolerances live in test_acceptance.py.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from alselect.sampling import (_CHUNK, _PARTITION_SURPLUS, RngState,
                                SelectionStats, gumbel_keys, select_positions,
-                               select_top_k, uniform_sample)
+                               select_top_k, uniform_positions, uniform_sample)
 
 
 def oracle_generator(*seed_path):
@@ -587,6 +588,51 @@ class TestUniformSample:
     def test_returns_python_ints(self):
         got = uniform_sample(np.arange(3 * _CHUNK), 40, RngState(2))
         assert all(type(i) is int for i in got)
+
+    def test_rejects_2d_ids(self):
+        with pytest.raises(ValueError, match="1-D"):
+            uniform_sample(np.arange(6).reshape(3, 2), 1, RngState(0))
+
+    @pytest.mark.parametrize("n, k, coarse, sorts", [
+        (2000, 40, False, 0),  # partition, no tie at the K-th key: exact-K return
+        (2000, 40, True, 1),   # partition, keys tie by the hundred: lexsort
+        (300, 40, False, 1),   # surplus <= _PARTITION_SURPLUS: every key sorted
+        (40, 40, False, 0),    # exactly K items: nothing to drop
+    ])
+    def test_equals_select_positions_at_zero_weights(self, monkeypatch, n, k, coarse, sorts):
+        # the scalar log weight 0 keys as a zeros array does: the same set from
+        # equal rngs, left in the same state; uniform_positions draws it too
+        wrap = CoarseRng if coarse else (lambda rng: rng)
+        rngs = [RngState(31, (n, k)) for _ in range(3)]
+        real_lexsort, calls = np.lexsort, []
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real_lexsort(keys))
+        got = uniform_sample(np.arange(n), k, wrap(rngs[0]))
+        assert len(calls) == sorts
+        assert got == select_positions(np.zeros(n), k, wrap(rngs[1]))
+        positions = uniform_positions(n, k, wrap(rngs[2]))
+        assert positions.dtype.kind == "i" and len(positions) == k
+        assert set(positions.tolist()) == got
+        assert len({rng.uniforms_open(1)[0] for rng in rngs}) == 1
+
+    def test_uniform_positions_errors(self):
+        with pytest.raises(ValueError, match="requested 3 items but only 2 available"):
+            uniform_positions(2, 3, RngState(0))
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            uniform_positions(2, 0, RngState(0))
+
+    def test_memory_is_the_keys_and_one_partition(self):
+        # a 100k-id draw keeps its uniforms, keyed in place, and the
+        # partition's copy of them; an array of zero log weights would be a
+        # third 800 KB array
+        ids = np.arange(100_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            uniform_sample(ids, 100, RngState(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 2 * ids.nbytes + 2**16
 
 
 def oracle_uniform_sample(ids, k, rng):

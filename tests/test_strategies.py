@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alselect import strategies
+from alselect import classifier, strategies
 from alselect.classifier import ModelParams, design, fit
 from alselect.probs import entropy_lower_bound
 from alselect.sampling import _CHUNK, _PARTITION_SURPLUS, RngState, select_top_k
@@ -143,7 +143,7 @@ class TestScorePoolBlocks:
     @settings(max_examples=300, deadline=None)
     def test_blocks_score_as_one_gather(self, problem):
         model, Xa, idx, cells, chi = problem
-        with mock.patch.object(strategies, "_BLOCK_CELLS", cells):
+        with mock.patch.object(classifier, "_BLOCK_CELLS", cells):
             scores = score_pool(model, Xa, idx, StrategyConfig(kind=StrategyKind.WEIGHTED, chi=chi))
         assert np.array_equal(scores, one_gather_scores(model, Xa, idx, chi))
 
@@ -152,8 +152,8 @@ class TestScorePoolBlocks:
         # at 2 rows a block, a pool of an odd size > 1 ends in a 3-row block
         gathered = []
         real = np.take
-        monkeypatch.setattr(strategies, "_BLOCK_CELLS", 1)
-        monkeypatch.setattr(strategies.np, "take",
+        monkeypatch.setattr(classifier, "_BLOCK_CELLS", 1)
+        monkeypatch.setattr(classifier.np, "take",
                             lambda a, i, axis: gathered.append(len(i)) or real(a, i, axis=axis))
         model = ModelParams(weights=np.zeros((2, 2)), k=2, d=1)
         score_pool(model, design(np.zeros((n, 1))), np.arange(n),
