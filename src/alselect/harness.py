@@ -151,11 +151,11 @@ def run_trial(dataset: Dataset, cfg: ExperimentConfig, trial_index: int) -> list
     The split is one state per dataset row (pool, labeled or holdout), so
     its parts are disjoint and cover the dataset by construction; it is set
     from the holdout draw's array of rows, and each part is read back as an
-    ascending index array. The
-    strategies see only positions into the current pool; this function
-    alone maps them to dataset rows, after checking that select_batch
-    returned `batch` distinct positions in [0, pool size). An exception
-    raised in a round carries the note "in trial t, round r".
+    ascending index array. The strategies see only positions into the
+    current pool; this function alone maps them to dataset rows, after
+    checking that select_batch returned `batch` distinct positions in
+    [0, pool size). An exception raised in a round carries the note
+    "in trial t, round r".
     """
     n = dataset.n
     master = RngState(cfg.master_seed)

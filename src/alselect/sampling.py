@@ -12,16 +12,15 @@ finite key, and no weight has to be normalised into float range first.
 which serves every sampling entry point: `select_positions` runs it once
 over a log-weight array, `uniform_sample` once over an id array at the
 scalar log weight 0 (the keys ln(-ln a) are then i.i.d., so the top K is a
-uniform K-subset), `uniform_positions` likewise over the positions
-0..n-1, returned as an array, and `select_top_k` once per chunk of an
-(id, weight) stream. It
-merges a block into the retained items by one `lexsort`, after a
-`partition` has dropped every key above the K-th best when the merge holds
-many more than K candidates; when exactly K keys are left, no key ties
-the K-th best and the partition alone has found the K best, so nothing is
-sorted. The second is `harness.validate_lemma`, which
-needs only whether a draw hits a pocket of the smallest positions: it keys
-a block of repeats at once, one row per repeat, and counts a hit when fewer
+uniform K-subset), `uniform_positions` likewise over the positions 0..n-1,
+returning an array, and `select_top_k` once per chunk of an (id, weight)
+stream. It merges a block into the retained items by one `lexsort`, after
+a `partition` has dropped every key above the K-th best when the merge
+holds many more than K candidates; when exactly K keys are left, no key
+ties the K-th best and the partition alone has found the K best, so
+nothing is sorted. The second is `harness.validate_lemma`, which needs
+only whether a draw hits a pocket of the smallest positions: it keys a
+block of repeats at once, one row per repeat, and counts a hit when fewer
 than K of the row's keys lie strictly below its smallest pocket key (a tie
 with that key goes to the smaller position, which is then a pocket one),
 with no partition.
@@ -101,14 +100,14 @@ class SelectionStats:
     peak_retained: int = 0
 
 
-def gumbel_keys(uniforms: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+def gumbel_keys(uniforms: np.ndarray, log_w) -> np.ndarray:
     """Sampling keys ln(-ln a) - l for uniforms a in (0, 1) and finite log
-    weights l, written into `uniforms` and returned: the same ufuncs on the
-    same operands as `np.log(-np.log(a)) - l`, so the same bits, without a
-    temporary per step. Broadcasts, so a (rows, n) block of uniforms against
-    n log weights gives each row the keys one merge over those n items would
-    rank. The K smallest keys of a row are its weighted draw without
-    replacement."""
+    weights l (an array, or one scalar for all), written into `uniforms` and
+    returned: the same ufuncs on the same operands as
+    `np.log(-np.log(a)) - l`, so the same bits, without a temporary per
+    step. Broadcasts, so a (rows, n) block of uniforms against n log weights
+    gives each row the keys one merge over those n items would rank. The K
+    smallest keys of a row are its weighted draw without replacement."""
     # `out` goes by position: as a keyword it cost a few tenths of a
     # microsecond a call, 3-5% of a 5-item select_top_k call (numpy 2.4)
     np.log(uniforms, uniforms)

@@ -16,6 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import alselect.data
+from alselect import classifier
 from alselect.data import (Dataset, StandardizationParams, load_csv, load_csv_cached,
                            standardize_apply, standardize_fit)
 from alselect.errors import DataFormatError
@@ -691,6 +692,24 @@ class TestStandardize:
         params = standardize_fit(np.array([[3.0, -2.0]]))
         out = standardize_apply(params, np.array([[3.0, -2.0]]))
         assert out.tolist() == [[0.0, 0.0]]
+
+    def test_no_feature_columns(self):
+        # a CSV of labels alone loads with 0 feature columns
+        params = standardize_fit(np.zeros((3, 0)))
+        assert standardize_apply(params, np.zeros((3, 0))).shape == (3, 0)
+
+    @pytest.mark.parametrize("cells", [1, 7, 2**40])
+    def test_blocks_give_the_one_pass_bits(self, monkeypatch, cells):
+        # rows go through the buffer a block of `cells` cells (at least one
+        # row) at a time, into a fresh array or strided design columns
+        X = np.random.default_rng(4).normal(5.0, 3.0, size=(23, 3))
+        params = standardize_fit(X[:5])
+        one_pass = ((X - params.means) / params.stds).tobytes()
+        monkeypatch.setattr(classifier, "_BLOCK_CELLS", cells)
+        Xa = np.empty((23, 4))
+        assert standardize_apply(params, X).tobytes() == one_pass
+        assert standardize_apply(params, X, out=Xa[:, :-1]).base is Xa
+        assert Xa[:, :-1].tobytes() == one_pass
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
